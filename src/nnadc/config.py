@@ -20,7 +20,9 @@ from .signal_core import EncodingScheme
 from .trainer import TrainConfig
 from .vtc import VariationSpec, VtcFamily, nominal_vtc, sample_family
 
-SCHEMA_VERSION = 1
+# Version of the experiment-config JSON format.  Model and manifest files
+# carry their own version, modelio.SCHEMA_VERSION.
+CONFIG_SCHEMA_VERSION = 1
 
 
 def split_seed(master: int, name: str) -> int:
@@ -58,7 +60,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        if (data.get("schema_version", CONFIG_SCHEMA_VERSION)
+                != CONFIG_SCHEMA_VERSION):
             raise ConfigError("schema_version: unsupported config schema")
         cfg = cls(raw=data)
         try:

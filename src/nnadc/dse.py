@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 
+# Largest total resolution, in bits, of a pipeline or a search target.
 MAX_RESO = 16
 
 

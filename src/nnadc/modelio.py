@@ -22,6 +22,7 @@ from .signal_core import EncodingScheme, StageSpec
 from .trainer import MlpParams, TrainedStage
 from .vtc import VariationSpec, VtcFamily, VtcParams
 
+# Version of the model and manifest file format.
 SCHEMA_VERSION = 1
 
 

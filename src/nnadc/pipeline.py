@@ -15,12 +15,11 @@ import numpy as np
 
 from . import metrics as _metrics
 from .crossbar import PerturbationSpec, perturb_resistances, vmm
+from .dse import MAX_RESO
 from .errors import ConfigError, NnadcError
 from .signal_core import DigitalCode, EncodingScheme, SineStimulus, StageSpec
 from .trainer import TrainedStage, residue_targets, stage_level_targets
 from .vtc import vtc_eval
-
-MAX_RESO = 16
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, DomainError
+from .errors import ConfigError, ContractViolation, DomainError, ShapeError
 
 # Default (hidden-layer, residue-hidden) sizes per stage resolution.
 _DEFAULT_TOPOLOGY = {1: (3, 5), 2: (4, 7), 3: (6, 9)}
@@ -60,6 +60,12 @@ class StageSpec:
             object.__setattr__(self, "residue_hidden", hr)
         if self.smooth_width <= n:
             raise ConfigError("smooth width must exceed the resolution")
+        if self.code_table and (
+                len(self.code_table) != self.n_levels
+                or any(len(code) != self.smooth_width
+                       for code in self.code_table)):
+            raise ConfigError(f"code_table must have {self.n_levels} codes "
+                              f"of {self.smooth_width} bits")
 
     @property
     def n_levels(self) -> int:
@@ -197,10 +203,32 @@ def smooth_decode(bits: Sequence[int], spec: StageSpec) -> int:
 
 
 def smooth_decode_array(bits: np.ndarray, spec: StageSpec) -> np.ndarray:
-    """Vectorized :func:`smooth_decode` for a (batch, S) bit array."""
-    codes = np.asarray(spec.codes())
-    dists = np.abs(bits[:, None, :] - codes[None, :, :]).sum(axis=2)
-    return np.argmin(dists, axis=1)
+    """Vectorized :func:`smooth_decode` for a (batch, S) bit array.
+
+    Soft bits decode to the level at the least L1 distance.  Each
+    level's distance is summed column by column, left to right, which is
+    numpy's own summation order below 8 terms; a custom code table 8 or
+    more bits wide may therefore resolve exact-arithmetic ties
+    differently from a numpy ``sum``.  A running strict ``<`` minimum
+    sends ties to the lower level, as ``argmin`` does.
+    """
+    bits = np.asarray(bits)
+    if bits.ndim != 2 or bits.shape[1] != spec.smooth_width:
+        raise ShapeError(f"expected a (batch, {spec.smooth_width}) bit "
+                         f"array, got shape {bits.shape}")
+    cols = list(bits.T)
+    level = np.zeros(bits.shape[0], dtype=np.intp)
+    best = None
+    for lv, code in enumerate(spec.codes()):
+        dist = np.abs(cols[0] - code[0])
+        for col, c in zip(cols[1:], code[1:]):
+            dist += np.abs(col - c)
+        if best is None:
+            best = dist
+        else:
+            level[dist < best] = lv
+            np.minimum(best, dist, out=best)
+    return level
 
 
 def log_stage_level(v_norm):

@@ -15,6 +15,7 @@ fraction of its drive voltages, so the midpoint must stay reachable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,12 +68,16 @@ class VtcFamily:
         return len(self.members)
 
     def as_arrays(self):
-        """(v_m, s, v_high, v_low) arrays over the members."""
-        vm = np.array([p.v_m for p in self.members])
-        s = np.array([p.s for p in self.members])
-        vh = np.array([p.v_high for p in self.members])
-        vl = np.array([p.v_low for p in self.members])
-        return vm, s, vh, vl
+        """(v_m, s, v_high, v_low) arrays over the members, read-only."""
+        return self._arrays
+
+    @cached_property
+    def _arrays(self):
+        arrays = tuple(np.array([getattr(p, name) for p in self.members])
+                       for name in ("v_m", "s", "v_high", "v_low"))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 def nominal_vtc(vdd: float, supply_ratio: float = SUPPLY_RATIO) -> VtcParams:
@@ -82,13 +87,16 @@ def nominal_vtc(vdd: float, supply_ratio: float = SUPPLY_RATIO) -> VtcParams:
 
 
 def _logistic(z):
-    """Overflow-safe logistic."""
+    """Overflow-safe logistic.
+
+    ``1/(1+exp(-z))`` for z >= 0 and ``exp(z)/(1+exp(z))`` otherwise, in
+    one branch-free pass.  ``minimum(z, -z)`` is -|z| but keeps the sign
+    of a NaN input, so NaNs come out as from ``exp(z)``.
+    """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(np.minimum(z, -z))
+    out = np.where(z >= 0, 1.0, e)
+    out /= 1.0 + e
     return out
 
 

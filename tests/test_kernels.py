@@ -1,0 +1,108 @@
+"""Bit-exactness of the fast numeric kernels against their reference formulas.
+
+``vtc._logistic`` and ``signal_core.smooth_decode_array`` run in every
+refinement candidate and every conversion.  Their fast forms must give
+exactly the results of the straightforward formulas kept below, so that
+trained weights, refinement counters and pipeline codes never move.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from nnadc.signal_core import StageSpec, smooth_decode_array
+from nnadc.vtc import _logistic
+
+
+def reference_logistic(z):
+    """Masked two-branch logistic: 1/(1+exp(-z)) or exp(z)/(1+exp(z))."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_smooth_decode(bits, spec):
+    """One (batch, levels, S) L1 distance tensor, then the first argmin."""
+    codes = np.asarray(spec.codes())
+    dists = np.abs(bits[:, None, :] - codes[None, :, :]).sum(axis=2)
+    return np.argmin(dists, axis=1)
+
+
+def _nan(pattern):
+    return np.array([pattern], dtype=np.uint64).view(np.float64)[0]
+
+
+SPECIAL = [0.0, -0.0, 745.0, -745.0, 746.0, -746.0, 1e308, -1e308,
+           5e-324, -5e-324, 2.2e-308, -2.2e-308, np.inf, -np.inf, np.nan,
+           -np.nan, _nan(0x7FF8000000000123), _nan(0xFFF8000000000456)]
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestLogistic:
+    @settings(deadline=None)
+    @given(hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=64),
+        elements=st.one_of(st.floats(), st.sampled_from(SPECIAL))))
+    @example(np.array(SPECIAL))
+    @example(np.array(SPECIAL * 5).reshape(-1, 5))
+    def test_matches_reference_bit_for_bit(self, z):
+        assert_same_bits(_logistic(z), reference_logistic(z))
+
+    @given(st.floats())
+    def test_scalar_input(self, z):
+        assert_same_bits(_logistic(z), reference_logistic(z))
+
+    def test_large_random_batch(self):
+        z = np.random.default_rng(0).normal(0.0, 20.0, size=(4096, 5))
+        assert_same_bits(_logistic(z), reference_logistic(z))
+
+
+SPECS = [
+    StageSpec(resolution_bits=1),
+    StageSpec(resolution_bits=2),
+    StageSpec(resolution_bits=3),
+    StageSpec(resolution_bits=2, smooth_width=5,
+              code_table=((0, 0, 0, 0, 0), (0, 0, 1, 1, 0),
+                          (1, 1, 1, 0, 0), (1, 1, 1, 1, 1))),
+]
+
+
+@st.composite
+def bit_batches(draw):
+    spec = draw(st.sampled_from(SPECS))
+    shape = (draw(st.integers(0, 48)), spec.smooth_width)
+    if draw(st.booleans()):
+        bits = draw(hnp.arrays(np.float64, shape,
+                               elements=st.floats(0.0, 1.0)))
+    else:
+        bits = draw(hnp.arrays(np.int64, shape,
+                               elements=st.integers(0, 1))).astype(float)
+    return spec, bits
+
+
+class TestSmoothDecodeArray:
+    @settings(deadline=None, max_examples=300)
+    @given(bit_batches())
+    def test_matches_reference(self, case):
+        spec, bits = case
+        got = smooth_decode_array(bits, spec)
+        want = reference_smooth_decode(bits, spec)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_explicit_ties(self):
+        spec = StageSpec(resolution_bits=2)
+        # 010 is 1 away from 000 and 011; 0.5 0.5 is 1 away from 00 and 11
+        assert smooth_decode_array(np.array([[0.0, 1.0, 0.0]]), spec)[0] == 0
+        assert smooth_decode_array(np.array([[0.5, 0.5]]),
+                                   StageSpec(resolution_bits=1))[0] == 0

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from nnadc.errors import ConfigError, ContractViolation, DomainError
+from nnadc.errors import (ConfigError, ContractViolation, DomainError,
+                          ShapeError)
 from nnadc.signal_core import (
     DigitalCode,
     EncodingScheme,
@@ -43,6 +44,17 @@ class TestStageSpec:
     def test_rejects_narrow_smooth_width(self):
         with pytest.raises(ConfigError):
             StageSpec(resolution_bits=2, smooth_width=2)
+
+    def test_rejects_mismatched_code_table(self):
+        with pytest.raises(ConfigError):      # codes narrower than S
+            StageSpec(resolution_bits=1, smooth_width=3,
+                      code_table=((0, 0), (1, 1)))
+        with pytest.raises(ConfigError):      # one code per level
+            StageSpec(resolution_bits=2, smooth_width=3,
+                      code_table=((0, 0, 0), (1, 1, 1)))
+        spec = StageSpec(resolution_bits=1, smooth_width=3,
+                         code_table=((0, 0, 0), (1, 1, 1)))
+        assert spec.codes() == ((0, 0, 0), (1, 1, 1))
 
     def test_code_table_adjacent_levels_differ_in_one_bit(self):
         for n in (2, 3):
@@ -188,6 +200,15 @@ class TestSmoothCodes:
         got = smooth_decode_array(bits, spec)
         want = [smooth_decode(tuple(row.astype(int)), spec) for row in bits]
         assert np.array_equal(got, want)
+
+    def test_array_decode_rejects_bad_shapes(self):
+        spec = StageSpec(resolution_bits=2)
+        with pytest.raises(ShapeError):
+            smooth_decode_array(np.zeros(3), spec)          # 1-D
+        with pytest.raises(ShapeError):
+            smooth_decode_array(np.zeros((5, 2)), spec)     # too narrow
+        with pytest.raises(ShapeError):
+            smooth_decode_array(np.zeros((5, 4)), spec)     # too wide
 
 
 class TestLogStages:

@@ -5,9 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from nnadc import trainer as trainer_module
 from nnadc.crossbar import DeviceGrid, quantize_weight, vmm
 from nnadc.errors import ConfigError, ShapeError
-from nnadc.signal_core import EncodingScheme, StageSpec
+from nnadc.signal_core import EncodingScheme, StageSpec, smooth_decode_array
 from nnadc.trainer import (
     AdamState,
     MlpParams,
@@ -204,6 +205,89 @@ class TestRefineDiscrete:
         for name in ("w1", "b1", "w2", "b2"):
             np.testing.assert_array_equal(getattr(ref, name),
                                           getattr(q, name))
+
+
+class TestRefineCandidateSequence:
+    """Pins the order and number of the candidates ``refine_discrete``
+    scores on the shared tiny stage, and where one pass ends.
+
+    The benchmark's recorded refinement counters depend on exactly this
+    sequence; a faster kernel must leave every count and weight as is.
+    Weights are given as indices into the layer's level grid (biases
+    scaled by the bias drive).
+    """
+
+    @staticmethod
+    def refine(stage, kind, start, x, score):
+        scores = []
+
+        def counting(out):
+            scores.append(score(out))
+            return scores[-1]
+
+        p = refine_discrete(start, stage.grid, stage.bias_drive,
+                            stage.family, kind, stage.spec.vdd, x, counting,
+                            passes=1)
+        running = np.minimum.accumulate(scores)
+        accepted = int(np.sum(running[1:] < running[:-1]))
+        return p, len(scores), accepted, running[-1]
+
+    @staticmethod
+    def level_indices(stage, p):
+        lev1 = stage.grid.weight_levels(p.w1.shape[0] + 1)
+        lev2 = stage.grid.weight_levels(p.hidden + 1)
+        out = {}
+        for name, lev, scale in (("w1", lev1, 1.0),
+                                 ("b1", lev1, stage.bias_drive),
+                                 ("w2", lev2, 1.0),
+                                 ("b2", lev2, stage.bias_drive)):
+            w = getattr(p, name)
+            idx = np.abs(lev * scale - w[..., None]).argmin(axis=-1)
+            np.testing.assert_array_equal(lev[idx] * scale, w)
+            out[name] = idx.tolist()
+        return out
+
+    def test_subadc_pass(self, tiny_stage):
+        spec, enc, family = tiny_stage.spec, tiny_stage.enc, tiny_stage.family
+        grid = np.arange(2048) / 2048.0 * spec.vdd
+        ideal = stage_level_targets(grid, spec, enc)
+
+        def score(out):
+            lvl = smooth_decode_array(out / family.nominal.v_high, spec)
+            return float(np.abs(lvl - ideal).mean())
+
+        # the start of one of train_stage's refinement restarts
+        start = trainer_module._init_params(
+            1, spec.subadc_hidden, spec.smooth_width, tiny_stage.grid,
+            tiny_stage.bias_drive, spec.vdd, family.nominal.v_m,
+            np.random.default_rng(0))
+        p, calls, accepted, best = self.refine(tiny_stage, "subadc", start,
+                                               grid[:, None], score)
+        assert (calls, accepted, best) == (248, 4, 0.083984375)
+        assert self.level_indices(tiny_stage, p) == {
+            "w1": [[0, 0, 7]], "b1": [0, 7, 4],
+            "w2": [[7, 6], [0, 6], [2, 5]], "b2": [4, 5]}
+
+    def test_residue_pass(self, tiny_stage):
+        spec, enc, family = tiny_stage.spec, tiny_stage.enc, tiny_stage.family
+        grid = np.arange(256) / 256.0 * spec.vdd
+        ideal = residue_targets(grid, stage_level_targets(grid, spec, enc),
+                                spec, enc)
+        x = np.hstack([grid[:, None],
+                       subadc_hard_bits(tiny_stage.subadc, grid, spec,
+                                        family)])
+
+        def score(out):
+            return float(((np.clip(out[:, 0], 0.0, spec.vdd) - ideal) ** 2)
+                         .mean())
+
+        p, calls, accepted, best = self.refine(tiny_stage, "residue",
+                                               tiny_stage.residue, x, score)
+        assert (calls, accepted, best) == (20522, 21, 0.06399872093869513)
+        assert self.level_indices(tiny_stage, p) == {
+            "w1": [[3, 7, 2, 5, 0], [0, 3, 0, 0, 0], [0, 3, 0, 0, 0]],
+            "b1": [6, 6, 7, 6, 6],
+            "w2": [[5], [0], [5], [3], [7]], "b2": [4]}
 
 
 class TestInstantiationEquivalence:

@@ -114,9 +114,15 @@ class TestFamilies:
 
     def test_as_arrays(self):
         fam = default_family(1.0, n=7, seed=1)
-        vm, s, vh, vl = fam.as_arrays()
-        assert vm.shape == s.shape == vh.shape == vl.shape == (7,)
-        assert vm[2] == fam.members[2].v_m
+        arrays = fam.as_arrays()
+        assert all(a.shape == (7,) for a in arrays)
+        # built once per family, and shared, so nobody may write to them
+        assert fam.as_arrays() is arrays
+        for arr, name in zip(arrays, ("v_m", "s", "v_high", "v_low")):
+            np.testing.assert_array_equal(
+                arr, [getattr(p, name) for p in fam.members])
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_picks(self):
         fam = default_family(1.0, n=20, seed=2)
