@@ -5,8 +5,19 @@ writes its artifacts (model files, CSV tables) into the output
 directory, and records a manifest with the config hash and seeds so a
 run can be reproduced exactly.
 
-Exit codes: 0 success, 2 configuration error, 3 training divergence,
-4 model-reference error.
+Exit codes:
+
+- 0: success;
+- 2: configuration error (``ConfigError``), including a config field of
+  the wrong type and a ``stimulus_n`` that is not a power of two;
+- 3: training divergence (``TrainingError``);
+- 4: model-reference error (``ModelRefError``);
+- 5: any other invalid input or model data (every other ``NnadcError``,
+  e.g. a ``CoherenceError`` for a stimulus bin that shares a factor with
+  ``stimulus_n``).
+
+Each prints ``error: <message>`` to standard error.  Any other exception
+is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -23,18 +34,20 @@ from . import dse as _dse
 from . import metrics as _metrics
 from . import modelio, pipeline as _pipe, sweep as _sweep
 from .config import ExperimentConfig, split_seed
-from .errors import ConfigError, ModelRefError, TrainingError
+from .errors import ConfigError, ModelRefError, NnadcError, TrainingError
 from .signal_core import SineStimulus, StageSpec
 from .trainer import train_stage
 
 EXIT_CONFIG = 2
 EXIT_TRAINING = 3
 EXIT_MODEL_REF = 4
+EXIT_INPUT = 5
 
 
 def _fail(exc: Exception) -> None:
+    # first match wins, so the NnadcError base class comes last
     kind = {ConfigError: EXIT_CONFIG, TrainingError: EXIT_TRAINING,
-            ModelRefError: EXIT_MODEL_REF}
+            ModelRefError: EXIT_MODEL_REF, NnadcError: EXIT_INPUT}
     for cls, code in kind.items():
         if isinstance(exc, cls):
             click.echo(f"error: {exc}", err=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,6 +24,20 @@ from .vtc import VariationSpec, VtcFamily, nominal_vtc, sample_family
 # Version of the experiment-config JSON format.  Model and manifest files
 # carry their own version, modelio.SCHEMA_VERSION.
 CONFIG_SCHEMA_VERSION = 1
+
+# Scalar fields a config file may set, with the JSON types each accepts.
+_SCALAR_TYPES = {
+    "vdd": (int, float),
+    "family_size": (int,),
+    "v_m_std_ratio": (int, float),
+    "s_rel_std": (int, float),
+    "stimulus_n": (int,),
+    "stimulus_bin": (int,),
+    "mc_runs": (int,),
+    "mc_sigma": (int, float),
+    "output_dir": (str,),
+    "seed": (int,),
+}
 
 
 def split_seed(master: int, name: str) -> int:
@@ -60,16 +75,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("a config must be a JSON object")
         if (data.get("schema_version", CONFIG_SCHEMA_VERSION)
                 != CONFIG_SCHEMA_VERSION):
             raise ConfigError("schema_version: unsupported config schema")
         cfg = cls(raw=data)
+        for key, types in _SCALAR_TYPES.items():
+            if key in data:
+                value = data[key]
+                # bool is an int subclass, but true/false is no number
+                if isinstance(value, bool) or not isinstance(value, types):
+                    wanted = " or ".join(t.__name__ for t in types)
+                    raise ConfigError(f"{key}: expected {wanted}, got "
+                                      f"{type(value).__name__} {value!r}")
+                setattr(cfg, key, value)
         try:
-            for key in ("vdd", "family_size", "v_m_std_ratio",
-                        "s_rel_std", "stimulus_n", "stimulus_bin", "mc_runs",
-                        "mc_sigma", "output_dir", "seed"):
-                if key in data:
-                    setattr(cfg, key, data[key])
             if "grid" in data:
                 cfg.grid = DeviceGrid(**data["grid"])
             if "train" in data:
@@ -82,8 +103,11 @@ class ExperimentConfig:
                 cfg.cost_table = CostTable.from_dict(data["cost_table"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config field: {exc}") from exc
-        if cfg.vdd <= 0:
-            raise ConfigError("vdd: must be positive")
+        if not (math.isfinite(cfg.vdd) and cfg.vdd > 0):
+            raise ConfigError("vdd: must be positive and finite")
+        n = cfg.stimulus_n
+        if n < 2 or n & (n - 1):
+            raise ConfigError(f"stimulus_n: {n} is not a power of two")
         return cfg
 
     def family(self) -> VtcFamily:

@@ -11,6 +11,7 @@ training time.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -82,8 +83,11 @@ class CrossbarLayer:
             raise ShapeError("g_u and g_l must be equal-shape 2-D arrays")
         if np.any(gu <= 0) or np.any(gl <= 0):
             raise DeviceError("conductances must be positive")
-        object.__setattr__(self, "g_u", gu)
-        object.__setattr__(self, "g_l", gl)
+        # private read-only copies: ``weights`` is computed from them once
+        for name, g in (("g_u", gu), ("g_l", gl)):
+            g = g.copy()
+            g.flags.writeable = False
+            object.__setattr__(self, name, g)
 
     @property
     def rows(self) -> int:
@@ -92,6 +96,16 @@ class CrossbarLayer:
     @property
     def cols(self) -> int:
         return self.g_u.shape[1]
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Effective weight matrix (bias row last), computed on first use.
+
+        A perturbed copy is a new layer and computes its own.
+        """
+        w, _ = weights_from_conductances(self)
+        w.flags.writeable = False
+        return w
 
 
 def weights_from_conductances(layer: CrossbarLayer):
@@ -106,24 +120,32 @@ def weights_from_conductances(layer: CrossbarLayer):
     return w, offsets
 
 
-def vmm(layer: CrossbarLayer, v_in: np.ndarray, v_bias: float | None = None):
+def vmm(layer: CrossbarLayer, v_in: np.ndarray, v_bias: float | None = None,
+        out: np.ndarray | None = None):
     """Analog vector-matrix multiply through the crossbar.
 
     ``v_in`` carries the signal rows (rows-1 entries, or a batch of them);
     the bias row is driven at ``v_bias`` (defaults to the layer's own
-    bias voltage).
+    bias voltage).  ``out``, if given, receives the result (cols entries,
+    or a batch of them) and is returned.
     """
-    w, _ = weights_from_conductances(layer)
+    w = layer.weights
     v = np.asarray(v_in, dtype=float)
+    if v.ndim not in (1, 2):
+        raise ShapeError(f"expected 1-D or 2-D input voltages, got "
+                         f"{v.ndim}-D")
     batched = v.ndim == 2
     if not batched:
         v = v[None, :]
+        if out is not None:
+            out = out[None, :]
     if v.shape[1] != layer.rows - 1:
         raise ShapeError(f"expected {layer.rows - 1} input voltages, "
                          f"got {v.shape[1]}")
     if v_bias is None:
         v_bias = layer.bias_voltage
-    out = v @ w[:-1] + v_bias * w[-1]
+    out = np.matmul(v, w[:-1], out=out)
+    out += v_bias * w[-1]
     return out if batched else out[0]
 
 

@@ -14,9 +14,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import metrics as _metrics
+from . import signal_core
 from .crossbar import PerturbationSpec, perturb_resistances, vmm
 from .dse import MAX_RESO
-from .errors import ConfigError, NnadcError
+from .errors import ConfigError, NnadcError, ShapeError
 from .signal_core import DigitalCode, EncodingScheme, SineStimulus, StageSpec
 from .trainer import TrainedStage, residue_targets, stage_level_targets
 from .vtc import vtc_eval
@@ -68,63 +69,119 @@ class PipelineConfig:
         return self.stages[0].spec.vdd
 
 
-def _layers_forward(layers, x, family, kind, vdd):
+def _work(bufs: dict, key: str, shape: tuple) -> np.ndarray:
+    """Work buffer ``key`` of ``shape`` from a per-call pool.
+
+    Stages of one conversion share the pool; every buffer's contents are
+    dead before the next stage, or the next network, writes it again.
+    """
+    buf = bufs.get((key, shape))
+    if buf is None:
+        buf = bufs[key, shape] = np.empty(shape)
+    return buf
+
+
+def _stage_input(bufs: dict, stage, n: int) -> np.ndarray:
+    """(n, 1 + S) input buffer of a stage: voltages, then its S bits."""
+    return _work(bufs, "in", (n, 1 + stage.spec.smooth_width))
+
+
+def _net(layers, x: np.ndarray, nominal, bufs: dict) -> np.ndarray:
+    """Output-column voltages of one two-crossbar network."""
     l1, l2 = layers
-    pre1 = vmm(l1, x)
-    h = vtc_eval(family.nominal, pre1)
-    pre2 = vmm(l2, h)
-    if kind == "subadc":
-        return family.nominal.v_high * (pre2 > vdd / 2.0).astype(float)
-    return pre2
+    n = x.shape[0]
+    h = vmm(l1, x, out=_work(bufs, "hidden", (n, l1.cols)))
+    vtc_eval(nominal, h, out=h)
+    return vmm(l2, h, out=_work(bufs, "out", (n, l2.cols)))
 
 
-def _stage_levels(stage, v: np.ndarray, mode: str, need_residue: bool):
-    """Vectorized single-stage conversion: (levels, residues or None)."""
-    spec, enc = stage.spec, stage.enc
-    if mode == "ideal":
-        lvl = stage_level_targets(v, spec, enc)
-        res = residue_targets(v, lvl, spec, enc) if need_residue else None
-        return lvl, res
-    if mode != "behavioral":
-        raise ConfigError(f"unknown simulation mode {mode!r}")
+def stage_forward(stage, inp: np.ndarray, res_out, bufs: dict) -> np.ndarray:
+    """One behavioral stage on work buffers; returns the decoded levels.
+
+    ``inp`` is a ``_stage_input`` buffer whose column 0 holds the input
+    voltages.  The comparators write their rail-valued bits into the
+    columns after it, where the residue network reads them.  If
+    ``res_out`` is given, the clipped residue is written into it; it may
+    be ``inp[:, 0]``.
+    """
     if not isinstance(stage, TrainedStage):
         raise ConfigError("behavioral mode needs a trained stage")
-    from .signal_core import smooth_decode_array
-
-    bits = _layers_forward(stage.subadc_layers, v[:, None], stage.family,
-                           "subadc", spec.vdd)
-    lvl = smooth_decode_array(bits / stage.family.nominal.v_high, spec)
-    res = None
-    if need_residue:
+    spec, nominal = stage.spec, stage.family.nominal
+    pre2 = _net(stage.subadc_layers, inp[:, :1], nominal, bufs)
+    unit_bits = np.greater(pre2, spec.vdd / 2.0, out=pre2)
+    lvl = signal_core.smooth_decode_array(unit_bits, spec)
+    np.multiply(unit_bits, nominal.v_high, out=inp[:, 1:])
+    if res_out is not None:
         if not stage.has_residue:
             raise NnadcError("residue requested from a residue-less "
                              "terminal stage")
-        out = _layers_forward(stage.residue_layers,
-                              np.hstack([v[:, None], bits]), stage.family,
-                              "residue", spec.vdd)
-        res = np.clip(out[:, 0], 0.0, spec.vdd)
-    return lvl, res
+        out = _net(stage.residue_layers, inp, nominal, bufs)
+        np.clip(out[:, 0], 0.0, spec.vdd, out=res_out)
+    return lvl
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("ideal", "behavioral"):
+        raise ConfigError(f"unknown simulation mode {mode!r}")
+
+
+def stage_levels(stage, v: np.ndarray, mode: str = "behavioral",
+                 need_residue: bool = False):
+    """Vectorized single-stage conversion: (levels, residues or None)."""
+    _check_mode(mode)
+    if mode == "ideal":
+        spec, enc = stage.spec, stage.enc
+        lvl = stage_level_targets(v, spec, enc)
+        res = residue_targets(v, lvl, spec, enc) if need_residue else None
+        return lvl, res
+    bufs = {}
+    inp = _stage_input(bufs, stage, v.shape[0])
+    inp[:, 0] = v
+    res = np.empty(v.shape[0]) if need_residue else None
+    return stage_forward(stage, inp, res, bufs), res
 
 
 def simulate_stage(stage, v: float, mode: str = "behavioral",
                    need_residue: bool = True):
     """(level, residue) of one stage for a scalar input voltage."""
     arr = np.asarray([v], dtype=float)
-    lvl, res = _stage_levels(stage, arr, mode, need_residue)
+    lvl, res = stage_levels(stage, arr, mode, need_residue)
     return int(lvl[0]), (float(res[0]) if res is not None else None)
 
 
 def convert(p: PipelineConfig, v, mode: str = "behavioral") -> np.ndarray:
-    """Vectorized pipeline conversion to integer codes."""
+    """Vectorized pipeline conversion to integer codes.
+
+    A behavioral conversion allocates its work buffers once and hands
+    them to every stage; each stage writes its residue straight into the
+    next stage's input buffer.
+    """
+    _check_mode(mode)
     x = np.atleast_1d(np.asarray(v, dtype=float))
-    codes = np.zeros(x.size, dtype=np.int64)
-    r = x
+    if x.ndim != 1:
+        raise ShapeError(f"expected a 1-D array of input voltages, got "
+                         f"shape {x.shape}")
+    n = x.size
+    codes = np.zeros(n, dtype=np.int64)
     last = len(p.stages) - 1
-    for i, stage in enumerate(p.stages):
-        lvl, res = _stage_levels(stage, r, mode, need_residue=i < last)
-        codes = (codes << stage.spec.resolution_bits) + lvl
-        if res is not None:
+    if mode == "ideal":
+        r = x
+        for i, stage in enumerate(p.stages):
+            lvl, res = stage_levels(stage, r, mode, need_residue=i < last)
+            codes <<= stage.spec.resolution_bits
+            codes += lvl
             r = res
+        return codes
+    bufs = {}
+    inp = _stage_input(bufs, p.stages[0], n)
+    inp[:, 0] = x
+    for i, stage in enumerate(p.stages):
+        nxt = _stage_input(bufs, p.stages[i + 1], n) if i < last else None
+        lvl = stage_forward(stage, inp, None if nxt is None else nxt[:, 0],
+                            bufs)
+        codes <<= stage.spec.resolution_bits
+        codes += lvl
+        inp = nxt
     return codes
 
 

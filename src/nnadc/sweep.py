@@ -16,8 +16,9 @@ import numpy as np
 
 from .config import ExperimentConfig, split_seed
 from .crossbar import PerturbationSpec, perturb_resistances
-from .pipeline import _layers_forward
-from .signal_core import smooth_decode_array
+from .pipeline import stage_levels
+# perfbench/tracing.py patches this name, so it stays importable here
+from .signal_core import smooth_decode_array  # noqa: F401
 from .trainer import TrainedStage, residue_targets, stage_level_targets
 from . import metrics as _metrics
 
@@ -34,24 +35,20 @@ def stage_metrics_from_layers(stage: TrainedStage, subadc_layers,
                               residue_layers, n: int = 4096,
                               tone_bin: int = 127) -> dict:
     """Sub-ADC ENOB and residue MSE evaluated through given crossbars."""
-    spec, enc, family = stage.spec, stage.enc, stage.family
+    spec, enc = stage.spec, stage.enc
+    stage = dataclasses.replace(stage, subadc_layers=subadc_layers,
+                                residue_layers=residue_layers)
     vdd = spec.vdd
     lsb = 1.0 / spec.n_levels
     k = np.arange(n)
     t = 0.5 + (0.5 - lsb / 2.0) * np.sin(2.0 * np.pi * tone_bin * k / n)
     v = np.clip(enc.denormalize(t), 0.0, vdd)
-    bits = _layers_forward(subadc_layers, v[:, None], family, "subadc", vdd)
-    lvl = smooth_decode_array(bits / family.nominal.v_high, spec)
+    lvl, _ = stage_levels(stage, v)
     _, enob = _metrics.sndr_enob((lvl + 0.5) * lsb, 1.0, tone_bin / n)
     out = {"subadc_enob": enob}
     if residue_layers is not None:
         grid_points = np.arange(2048) / 2048.0 * vdd
-        gbits = _layers_forward(subadc_layers, grid_points[:, None], family,
-                                "subadc", vdd)
-        pred = _layers_forward(residue_layers,
-                               np.hstack([grid_points[:, None], gbits]),
-                               family, "residue", vdd)
-        pred = np.clip(pred[:, 0], 0.0, vdd)
+        _, pred = stage_levels(stage, grid_points, need_residue=True)
         ideal = residue_targets(grid_points,
                                 stage_level_targets(grid_points, spec, enc),
                                 spec, enc)

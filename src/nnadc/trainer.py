@@ -15,7 +15,6 @@ whole conversion.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,7 @@ from .signal_core import (
     residue_arithmetic,
     smooth_decode_array,
 )
-from .vtc import VtcFamily, _logistic
+from .vtc import VtcFamily, vtc_eval
 
 # Comparator training surrogate: logistic of this width (fraction of vdd).
 COMPARATOR_WIDTH_RATIO = 0.01
@@ -252,8 +251,7 @@ def refine_discrete(params: MlpParams, grid: DeviceGrid, bias_drive: float,
 
     def hidden_of(w1, b1):
         pre1 = x @ w1 + b1
-        return nom.v_low + (nom.v_high - nom.v_low) * _logistic(
-            (nom.v_m - pre1) / nom.s)
+        return vtc_eval(nom, pre1, out=pre1)
 
     def out_of(pre2):
         if kind == "subadc":
@@ -290,9 +288,8 @@ def refine_discrete(params: MlpParams, grid: DeviceGrid, bias_drive: float,
             for combo in combos:
                 if np.array_equal(combo, cur):
                     continue
-                hj = nom.v_low + (nom.v_high - nom.v_low) * _logistic(
-                    (nom.v_m - (x @ combo[:-1] + combo[-1] * bias_drive))
-                    / nom.s)
+                pre1 = x @ combo[:-1] + combo[-1] * bias_drive
+                hj = vtc_eval(nom, pre1, out=pre1)
                 s = score(out_of(base + hj[:, None] * p.w2[j]))
                 if s < best:
                     best, cur, improved = s, combo.copy(), True
@@ -628,18 +625,3 @@ def evaluate_stage(stage: TrainedStage, n: int = 4096, tone_bin: int = 127) -> d
                                 spec, enc)
         out["residue_mse"] = float(((pred - ideal) ** 2).mean())
     return out
-
-
-def train_best_of(spec: StageSpec, enc: EncodingScheme, family: VtcFamily,
-                  grid: DeviceGrid, config: TrainConfig, n_seeds: int = 1,
-                  train_residue: bool = True) -> TrainedStage:
-    """Train with several seeds and keep the stage with the best metrics."""
-    best = None
-    for k in range(n_seeds):
-        cfg = dataclasses.replace(config, seed=config.seed + k)
-        stage = train_stage(spec, enc, family, grid, cfg, train_residue)
-        score = stage.train_metrics.get("residue_mse",
-                                        -stage.train_metrics["subadc_enob"])
-        if best is None or score < best[0]:
-            best = (score, stage)
-    return best[1]

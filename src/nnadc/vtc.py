@@ -86,24 +86,40 @@ def nominal_vtc(vdd: float, supply_ratio: float = SUPPLY_RATIO) -> VtcParams:
                      v_high=supply_ratio * vdd, v_low=0.0)
 
 
-def _logistic(z):
-    """Overflow-safe logistic.
+def _logistic(z, out=None):
+    """Overflow-safe logistic, ``exp(min(z, 0)) / (1 + exp(-|z|))``.
 
-    ``1/(1+exp(-z))`` for z >= 0 and ``exp(z)/(1+exp(z))`` otherwise, in
-    one branch-free pass.  ``minimum(z, -z)`` is -|z| but keeps the sign
-    of a NaN input, so NaNs come out as from ``exp(z)``.
+    This is ``1/(1+exp(-z))`` for z >= 0 and ``exp(z)/(1+exp(z))``
+    otherwise, in one branch-free pass with one temporary.
+    ``minimum(z, -z)`` is -|z| but keeps the sign of a NaN input, so NaNs
+    come out as from ``exp(z)``.  ``out`` may be ``z`` itself.
     """
     z = np.asarray(z, dtype=float)
-    e = np.exp(np.minimum(z, -z))
-    out = np.where(z >= 0, 1.0, e)
-    out /= 1.0 + e
+    e = np.negative(z, out=np.empty_like(z))
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    if out is None:
+        out = np.empty_like(z)
+    np.minimum(z, 0.0, out=out)
+    np.exp(out, out=out)
+    out /= e
     return out
 
 
-def vtc_eval(p: VtcParams, v):
-    """Inverter output voltage; strictly decreasing in the input."""
-    z = (p.v_m - np.asarray(v, dtype=float)) / p.s
-    out = p.v_low + (p.v_high - p.v_low) * _logistic(z)
+def vtc_eval(p: VtcParams, v, out=None):
+    """Inverter output voltage; strictly decreasing in the input.
+
+    ``out``, if given, receives the result and may be ``v`` itself.
+    """
+    arr = np.asarray(v, dtype=float)
+    if out is None:
+        out = np.empty_like(arr)
+    np.subtract(p.v_m, arr, out=out)
+    out /= p.s
+    _logistic(out, out=out)
+    out *= p.v_high - p.v_low
+    out += p.v_low
     return float(out) if np.isscalar(v) else out
 
 
@@ -140,14 +156,3 @@ def default_family(vdd: float, n: int = 100, seed: int = 0) -> VtcFamily:
     nom = nominal_vtc(vdd)
     var = VariationSpec(v_m_std=0.02 * vdd, s_rel_std=0.10)
     return sample_family(n, var, seed, nom)
-
-
-def pick_random(family: VtcFamily, rng: np.random.Generator) -> VtcParams:
-    """Uniform draw over the family members."""
-    return family.members[int(rng.integers(len(family)))]
-
-
-def pick_assignment(family: VtcFamily, n: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Independent uniform member indices for ``n`` neurons."""
-    return rng.integers(len(family), size=n)

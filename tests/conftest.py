@@ -8,6 +8,13 @@ from nnadc.trainer import TrainConfig, train_stage
 from nnadc.vtc import default_family
 
 
+def pytest_collection_modifyitems(items):
+    """The acceptance criteria train full-budget stages: mark them slow."""
+    for item in items:
+        if item.path.name == "test_acceptance.py":
+            item.add_marker(pytest.mark.slow)
+
+
 def pytest_terminal_summary(terminalreporter):
     try:
         from test_acceptance import CRITERION_LINES

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nnadc.cli import EXIT_CONFIG, EXIT_MODEL_REF, main
+from nnadc.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_MODEL_REF, main
 
 
 @pytest.fixture()
@@ -67,6 +67,19 @@ class TestTrainStage:
         res = runner.invoke(main, ["train-stage", "--config", str(bad)])
         assert res.exit_code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("field, value", [("vdd", "1"),
+                                              ("stimulus_n", 1000)])
+    def test_bad_field_exit_code(self, runner, workdir, field, value):
+        cfg = json.loads(workdir["cfg"].read_text())
+        cfg[field] = value
+        workdir["cfg"].write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["train-stage", "--config",
+                                   str(workdir["cfg"])])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert res.exception is None or isinstance(res.exception,
+                                                    SystemExit)
+        assert f"error: {field}" in res.output
+
 
 class TestPipelineCommands:
     def test_build_simulate_mc(self, runner, workdir):
@@ -99,6 +112,25 @@ class TestPipelineCommands:
             "--pipeline", str(pipe), "--mode", "ideal"])
         assert res.exit_code == 0, res.output
         assert (workdir["out"] / "spectrum.csv").exists()
+
+    def test_other_nnadc_error_exit_code(self, runner, workdir):
+        stage = train_one(runner, workdir)
+        res = runner.invoke(main, [
+            "build-pipeline", "--config", str(workdir["cfg"]),
+            "--stages", str(stage)])
+        assert res.exit_code == 0, res.output
+        pipe = workdir["out"] / "pipeline.json"
+        # bin 16 shares a factor with the 256-point record: CoherenceError
+        cfg = json.loads(workdir["cfg"].read_text())
+        cfg["stimulus_bin"] = 16
+        other = workdir["tmp"] / "even_bin.json"
+        other.write_text(json.dumps(cfg))
+        res = runner.invoke(main, [
+            "simulate", "--config", str(other), "--pipeline", str(pipe),
+            "--mode", "ideal", "--force"])
+        assert res.exit_code == EXIT_INPUT, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "error: J = 16" in res.output
 
     def test_missing_stage_ref_exit_code(self, runner, workdir):
         res = runner.invoke(main, [

@@ -48,6 +48,27 @@ class TestFromDict:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"schema_version": 99})
 
+    @pytest.mark.parametrize("field, value", [
+        ("vdd", "1"), ("vdd", True), ("vdd", None), ("family_size", 2.5),
+        ("stimulus_n", "4096"), ("stimulus_bin", 12.0), ("mc_runs", [2]),
+        ("mc_sigma", "0.05"), ("output_dir", 3), ("seed", False)])
+    def test_rejects_wrong_scalar_type(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig.from_dict({field: value})
+
+    def test_accepts_int_for_float_fields(self):
+        cfg = ExperimentConfig.from_dict({"vdd": 1, "mc_sigma": 0})
+        assert cfg.vdd == 1 and cfg.mc_sigma == 0
+
+    @pytest.mark.parametrize("n", [1000, 0, -4, 1, 4095])
+    def test_rejects_stimulus_n_not_power_of_two(self, n):
+        with pytest.raises(ConfigError, match="stimulus_n"):
+            ExperimentConfig.from_dict({"stimulus_n": n})
+
+    def test_rejects_non_object(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict([1, 2])
+
     def test_from_file_errors(self, tmp_path):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(tmp_path / "missing.json")

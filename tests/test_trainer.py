@@ -24,7 +24,6 @@ from nnadc.trainer import (
     residue_targets,
     stage_level_targets,
     subadc_hard_bits,
-    train_best_of,
     train_stage,
 )
 from nnadc.vtc import default_family, vtc_eval
@@ -372,11 +371,3 @@ class TestTrainStage:
         a = evaluate_stage(stage)
         b = evaluate_stage(stage)
         assert repr(a) == repr(b)  # NaN-tolerant equality
-
-    def test_train_best_of_uses_distinct_seeds(self):
-        spec = StageSpec(resolution_bits=1, vdd=VDD)
-        best = train_best_of(spec, EncodingScheme(), FAMILY, GRID, TINY,
-                             n_seeds=2)
-        single = train_stage(spec, EncodingScheme(), FAMILY, GRID, TINY)
-        assert best.train_metrics["residue_mse"] <= \
-            single.train_metrics["residue_mse"] + 1e-12

@@ -9,8 +9,6 @@ from nnadc.vtc import (
     VtcParams,
     default_family,
     nominal_vtc,
-    pick_assignment,
-    pick_random,
     sample_family,
     vtc_derivative,
     vtc_eval,
@@ -123,11 +121,3 @@ class TestFamilies:
                 arr, [getattr(p, name) for p in fam.members])
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-
-    def test_picks(self):
-        fam = default_family(1.0, n=20, seed=2)
-        rng = np.random.default_rng(0)
-        assert pick_random(fam, rng) in fam.members
-        idx = pick_assignment(fam, 50, rng)
-        assert idx.shape == (50,)
-        assert idx.min() >= 0 and idx.max() < 20
