@@ -8,8 +8,9 @@ run can be reproduced exactly.
 Exit codes:
 
 - 0: success;
-- 2: configuration error (``ConfigError``), including a config field of
-  the wrong type and a ``stimulus_n`` that is not a power of two;
+- 2: configuration error (``ConfigError``), including an unknown key, a
+  config field of the wrong type, a bad nested block and a
+  ``stimulus_n`` that is not a power of two;
 - 3: training divergence (``TrainingError``);
 - 4: model-reference error (``ModelRefError``);
 - 5: any other invalid input or model data (every other ``NnadcError``,
@@ -35,7 +36,7 @@ from . import metrics as _metrics
 from . import modelio, pipeline as _pipe, sweep as _sweep
 from .config import ExperimentConfig, split_seed
 from .errors import ConfigError, ModelRefError, NnadcError, TrainingError
-from .signal_core import SineStimulus, StageSpec
+from .signal_core import SineStimulus, StageSpec, sine_stimulus
 from .trainer import train_stage
 
 EXIT_CONFIG = 2
@@ -80,12 +81,9 @@ def _write_manifest(cfg: ExperimentConfig, command: str, outputs) -> None:
 
 
 def _stimulus(cfg: ExperimentConfig, enc) -> SineStimulus:
-    """Coherent full-scale tone in the encoding's normalized domain."""
-    n, j = cfg.stimulus_n, cfg.stimulus_bin
-    k = np.arange(n)
-    t = 0.5 + 0.4999 * np.sin(2.0 * np.pi * j * k / n)
-    v = np.clip(enc.denormalize(t), 0.0, cfg.vdd)
-    return SineStimulus(samples=v, f_in=j / n, f_s=1.0, coherent=True)
+    """Near-full-scale tone in the encoding's normalized domain."""
+    return sine_stimulus(cfg.stimulus_n, cfg.stimulus_bin, 0.4999, enc,
+                         cfg.vdd)
 
 
 @click.group()
@@ -107,8 +105,7 @@ def cmd_train_stage(config_path, n_bits, ar, seed, terminal):
         if ar is not None:
             grid = dataclasses.replace(grid, precision_bits=ar)
         train_cfg = dataclasses.replace(
-            cfg.train, precision_bits=grid.precision_bits,
-            seed=seed if seed is not None
+            cfg.train, seed=seed if seed is not None
             else split_seed(cfg.seed, f"train-n{n_bits}"))
         spec = StageSpec(resolution_bits=n_bits, vdd=cfg.vdd)
         stage = train_stage(spec, cfg.encoding, cfg.family(), grid, train_cfg,

@@ -16,8 +16,8 @@ from pathlib import Path
 
 from .crossbar import DeviceGrid
 from .dse import CostTable
-from .errors import ConfigError
-from .signal_core import EncodingScheme
+from .errors import ConfigError, NnadcError
+from .signal_core import TONE_BIN, TONE_N, EncodingScheme
 from .trainer import TrainConfig
 from .vtc import VariationSpec, VtcFamily, nominal_vtc, sample_family
 
@@ -38,6 +38,14 @@ _SCALAR_TYPES = {
     "output_dir": (str,),
     "seed": (int,),
 }
+# Nested blocks a config file may set, with the constructor of each.
+_BLOCKS = {
+    "grid": lambda d: DeviceGrid(**d),
+    "train": lambda d: TrainConfig(**d),
+    "encoding": lambda d: EncodingScheme(**d),
+    "cost_table": CostTable.from_dict,
+}
+_KEYS = {"schema_version", *_SCALAR_TYPES, *_BLOCKS}
 
 
 def split_seed(master: int, name: str) -> int:
@@ -55,9 +63,8 @@ class ExperimentConfig:
     s_rel_std: float = 0.10
     train: TrainConfig = field(default_factory=TrainConfig)
     encoding: EncodingScheme = field(default_factory=EncodingScheme)
-    composition: tuple = ()
-    stimulus_n: int = 4096
-    stimulus_bin: int = 127
+    stimulus_n: int = TONE_N
+    stimulus_bin: int = TONE_BIN
     mc_runs: int = 100
     mc_sigma: float = 0.05
     cost_table: CostTable | None = None
@@ -80,6 +87,9 @@ class ExperimentConfig:
         if (data.get("schema_version", CONFIG_SCHEMA_VERSION)
                 != CONFIG_SCHEMA_VERSION):
             raise ConfigError("schema_version: unsupported config schema")
+        unknown = sorted(set(data) - _KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
         cfg = cls(raw=data)
         for key, types in _SCALAR_TYPES.items():
             if key in data:
@@ -90,19 +100,14 @@ class ExperimentConfig:
                     raise ConfigError(f"{key}: expected {wanted}, got "
                                       f"{type(value).__name__} {value!r}")
                 setattr(cfg, key, value)
-        try:
-            if "grid" in data:
-                cfg.grid = DeviceGrid(**data["grid"])
-            if "train" in data:
-                cfg.train = TrainConfig(**data["train"])
-            if "encoding" in data:
-                cfg.encoding = EncodingScheme(**data["encoding"])
-            if "composition" in data:
-                cfg.composition = tuple(data["composition"])
-            if "cost_table" in data:
-                cfg.cost_table = CostTable.from_dict(data["cost_table"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid config field: {exc}") from exc
+        for key, build in _BLOCKS.items():
+            if key in data:
+                try:
+                    setattr(cfg, key, build(data[key]))
+                except (NnadcError, AttributeError, KeyError, TypeError,
+                        ValueError) as exc:
+                    raise ConfigError(
+                        f"{key}: {type(exc).__name__}: {exc}") from exc
         if not (math.isfinite(cfg.vdd) and cfg.vdd > 0):
             raise ConfigError("vdd: must be positive and finite")
         n = cfg.stimulus_n

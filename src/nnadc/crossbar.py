@@ -103,21 +103,15 @@ class CrossbarLayer:
 
         A perturbed copy is a new layer and computes its own.
         """
-        w, _ = weights_from_conductances(self)
+        w = weights_from_conductances(self)
         w.flags.writeable = False
         return w
 
 
-def weights_from_conductances(layer: CrossbarLayer):
-    """Effective weight matrix and bias-row offsets of a crossbar.
-
-    Returns the full rows-by-cols weight matrix (bias row included as the
-    last row) and the per-column offset contributed by the bias row.
-    """
+def weights_from_conductances(layer: CrossbarLayer) -> np.ndarray:
+    """Effective rows-by-cols weight matrix of a crossbar, bias row last."""
     sums = (layer.g_u + layer.g_l).sum(axis=0)  # per-column normalization
-    w = (layer.g_u - layer.g_l) / sums
-    offsets = w[-1] * layer.bias_voltage if layer.bias_voltage else np.zeros(layer.cols)
-    return w, offsets
+    return (layer.g_u - layer.g_l) / sums
 
 
 def vmm(layer: CrossbarLayer, v_in: np.ndarray, v_bias: float | None = None,

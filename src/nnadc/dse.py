@@ -94,12 +94,12 @@ def walden_fom(power: float, enob: float, rate: float) -> float:
     return power / (2.0 ** enob * rate)
 
 
-def evaluate_candidate(comp, table: CostTable, enob: float | None = None,
-                       enob_fn=None) -> DseResult:
+def evaluate_candidate(comp, table: CostTable,
+                       enob: float | None = None) -> DseResult:
     """Cost roll-up of one composition.
 
-    ENOB defaults to the nominal resolution (sum of stage bits); pass
-    either a measured value or ``enob_fn(comp)`` for simulated accuracy.
+    ENOB defaults to the nominal resolution (sum of stage bits); pass a
+    measured value to rank by measured accuracy.
     """
     comp = tuple(comp)
     if not comp:
@@ -109,18 +109,18 @@ def evaluate_candidate(comp, table: CostTable, enob: float | None = None,
     rate = min(c.rate for c in costs)
     area = sum(c.area for c in costs)
     if enob is None:
-        enob = enob_fn(comp) if enob_fn is not None else float(sum(comp))
+        enob = float(sum(comp))
     return DseResult(composition=comp, power=power, rate=rate, area=area,
                      enob=enob, fom_w=walden_fom(power, enob, rate))
 
 
-def optimize(reso: int, table: CostTable, enob_fn=None):
+def optimize(reso: int, table: CostTable):
     """Exhaustively evaluate and rank every composition.
 
     Sort order: figure of merit, then area, then fewer stages, then the
     composition itself, so the ranking is fully deterministic.
     """
-    results = [evaluate_candidate(c, table, enob_fn=enob_fn)
+    results = [evaluate_candidate(c, table)
                for c in enumerate_compositions(reso)]
     results.sort(key=DseResult.sort_key)
     return results

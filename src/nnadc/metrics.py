@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoherenceError, ShapeError
+from .signal_core import TONE_BIN, TONE_N, EncodingScheme, sine_stimulus
 
 ENOB_OFFSET_DB = 1.76
 ENOB_SLOPE_DB = 6.02
@@ -79,7 +80,7 @@ def residue_mse(predicted, ideal, vdd: float, n_points: int = 2048) -> float:
 
 
 def mse_to_enob_sensitivity(pipeline_reso: int, injected_mse: float,
-                            n: int = 4096, tone_bin: int = 127,
+                            n: int = TONE_N, tone_bin: int = TONE_BIN,
                             seed: int = 0) -> float:
     """ENOB of an ideal pipeline whose first-stage residue carries noise.
 
@@ -91,8 +92,8 @@ def mse_to_enob_sensitivity(pipeline_reso: int, injected_mse: float,
     if injected_mse < 0:
         raise ShapeError("injected MSE must be non-negative")
     lsb = 1.0 / (1 << pipeline_reso)
-    k = np.arange(n)
-    v = 0.5 + (0.5 - lsb / 2.0) * np.sin(2.0 * np.pi * tone_bin * k / n)
+    stim = sine_stimulus(n, tone_bin, 0.5 - lsb / 2.0, EncodingScheme(), 1.0)
+    v = stim.samples
     level1 = np.minimum(np.floor(v * 2.0), 1.0)
     r1 = (v - level1 / 2.0) * 2.0
     if injected_mse > 0:
@@ -103,7 +104,7 @@ def mse_to_enob_sensitivity(pipeline_reso: int, injected_mse: float,
     rest = np.minimum(np.floor(r1 * (1 << rest_bits)), (1 << rest_bits) - 1)
     code = level1 * (1 << rest_bits) + rest
     rec = (code + 0.5) * lsb
-    _, enob = sndr_enob(rec, 1.0, tone_bin / n)
+    _, enob = sndr_enob(rec, stim.f_s, stim.f_in)
     return enob
 
 

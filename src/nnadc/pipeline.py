@@ -18,8 +18,14 @@ from . import signal_core
 from .crossbar import PerturbationSpec, perturb_resistances, vmm
 from .dse import MAX_RESO
 from .errors import ConfigError, NnadcError, ShapeError
-from .signal_core import DigitalCode, EncodingScheme, SineStimulus, StageSpec
-from .trainer import TrainedStage, residue_targets, stage_level_targets
+from .signal_core import (
+    DigitalCode,
+    EncodingScheme,
+    SineStimulus,
+    StageSpec,
+    residue_targets,
+    stage_level_targets,
+)
 from .vtc import vtc_eval
 
 
@@ -104,7 +110,7 @@ def stage_forward(stage, inp: np.ndarray, res_out, bufs: dict) -> np.ndarray:
     ``res_out`` is given, the clipped residue is written into it; it may
     be ``inp[:, 0]``.
     """
-    if not isinstance(stage, TrainedStage):
+    if isinstance(stage, IdealStage):
         raise ConfigError("behavioral mode needs a trained stage")
     spec, nominal = stage.spec, stage.family.nominal
     pre2 = _net(stage.subadc_layers, inp[:, :1], nominal, bufs)
@@ -205,25 +211,35 @@ def reconstruct(code, enc: EncodingScheme, width: int | None = None):
     return float(out) if np.isscalar(value) or isinstance(value, int) else out
 
 
+def perturbed_stage(stage, sigma: float, rng: np.random.Generator):
+    """Copy of a trained stage with its crossbar resistances perturbed.
+
+    Each layer draws its own sub-seed from ``rng``, sub-ADC layers first.
+    """
+    if sigma == 0:
+        return stage
+
+    def _perturb(layers):
+        if layers is None:
+            return None
+        return tuple(
+            perturb_resistances(l, PerturbationSpec(
+                sigma=sigma, seed=int(rng.integers(2 ** 31))))
+            for l in layers)
+
+    return replace(stage, subadc_layers=_perturb(stage.subadc_layers),
+                   residue_layers=_perturb(stage.residue_layers))
+
+
 def perturbed_pipeline(p: PipelineConfig, sigma: float,
                        seed: int) -> PipelineConfig:
     """Copy of the pipeline with every crossbar's resistances perturbed."""
     if sigma == 0:
         return p
     rng = np.random.default_rng(seed)
-    stages = []
-    for stage in p.stages:
-        def _perturb(layers):
-            if layers is None:
-                return None
-            return tuple(
-                perturb_resistances(l, PerturbationSpec(
-                    sigma=sigma, seed=int(rng.integers(2 ** 31))))
-                for l in layers)
-
-        stages.append(replace(stage, subadc_layers=_perturb(stage.subadc_layers),
-                              residue_layers=_perturb(stage.residue_layers)))
-    return PipelineConfig(stages=tuple(stages), enc=p.enc)
+    return PipelineConfig(
+        stages=tuple(perturbed_stage(s, sigma, rng) for s in p.stages),
+        enc=p.enc)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,10 @@ _CODE_TABLES = {
 
 LOG_THRESHOLD = math.sqrt(2.0) - 1.0  # input where log2(1+v) crosses 1/2
 
+# The standard coherent test tone: FFT bin 127 of a 4,096-point record.
+TONE_N = 4096
+TONE_BIN = 127
+
 
 @dataclass(frozen=True)
 class StageSpec:
@@ -254,32 +258,42 @@ def log_stage_oracle(v_norm):
     return (bit, float(r)) if np.isscalar(v_norm) else (bit, r)
 
 
+def stage_level_targets(v: np.ndarray, spec: StageSpec,
+                        enc: EncodingScheme) -> np.ndarray:
+    """Ideal level of this stage for its encoding."""
+    if enc.kind == "linear":
+        return ideal_stage_level(v, spec)
+    if spec.resolution_bits != 1:
+        raise ConfigError("logarithmic stages must be 1-bit")
+    return log_stage_level(v / spec.vdd)
+
+
+def residue_targets(v: np.ndarray, level: np.ndarray, spec: StageSpec,
+                    enc: EncodingScheme) -> np.ndarray:
+    """Ground-truth residue for the stage's (possibly imperfect) level."""
+    if enc.kind == "linear":
+        r = residue_arithmetic(v, level, spec)
+    else:
+        r = log_stage_residue(v / spec.vdd, level) * spec.vdd
+    return np.clip(r, 0.0, spec.vdd)
+
+
 @dataclass(frozen=True)
 class SineStimulus:
     samples: np.ndarray = field(repr=False)
     f_in: float = 0.0
     f_s: float = 1.0
-    coherent: bool = True
 
 
-def sample_sine(amplitude: float, f_in: float, f_s: float, n: int,
-                offset: float = 0.0, vdd: float | None = None) -> SineStimulus:
-    """Sampled sine stimulus; flags non-coherent tone choices.
+def sine_stimulus(n: int, tone_bin: int, amplitude: float,
+                  enc: EncodingScheme, vdd: float) -> SineStimulus:
+    """Tone on FFT bin ``tone_bin`` of an n-point record (f_s = 1).
 
-    Coherence requires f_in = (J/n) * f_s with integer J coprime to n.
-    When ``vdd`` is given the samples are clipped to [0, vdd].
+    The sine swings ``amplitude`` about mid-scale in the encoding's
+    normalized domain; the voltages are clipped to [0, vdd].  Coherence
+    is checked where the record is measured, by ``metrics.sndr_enob``.
     """
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ConfigError("sample count must be a power of two")
-    j = f_in * n / f_s
-    coherent = abs(j - round(j)) < 1e-9 and math.gcd(int(round(j)), n) == 1
     k = np.arange(n)
-    s = offset + amplitude * np.sin(2.0 * np.pi * f_in * k / f_s)
-    if vdd is not None:
-        s = np.clip(s, 0.0, vdd)
-    return SineStimulus(samples=s, f_in=f_in, f_s=f_s, coherent=coherent)
-
-
-def coherent_tone(n: int, j: int, f_s: float = 1.0) -> float:
-    """Frequency of FFT bin ``j`` for an n-point record."""
-    return j * f_s / n
+    t = 0.5 + amplitude * np.sin(2.0 * np.pi * tone_bin * k / n)
+    v = np.clip(enc.denormalize(t), 0.0, vdd)
+    return SineStimulus(samples=v, f_in=tone_bin / n, f_s=1.0)

@@ -15,54 +15,18 @@ import statistics
 import numpy as np
 
 from .config import ExperimentConfig, split_seed
-from .crossbar import PerturbationSpec, perturb_resistances
-from .pipeline import stage_levels
-# perfbench/tracing.py patches this name, so it stays importable here
+# perfbench/tracing.py patches these names, so they stay importable here
+from .crossbar import perturb_resistances  # noqa: F401
+from .pipeline import perturbed_stage
 from .signal_core import smooth_decode_array  # noqa: F401
-from .trainer import TrainedStage, residue_targets, stage_level_targets
-from . import metrics as _metrics
-
-
-def _perturbed(layers, sigma, rng):
-    if sigma == 0:
-        return layers
-    return tuple(perturb_resistances(
-        l, PerturbationSpec(sigma=sigma, seed=int(rng.integers(2 ** 31))))
-        for l in layers)
-
-
-def stage_metrics_from_layers(stage: TrainedStage, subadc_layers,
-                              residue_layers, n: int = 4096,
-                              tone_bin: int = 127) -> dict:
-    """Sub-ADC ENOB and residue MSE evaluated through given crossbars."""
-    spec, enc = stage.spec, stage.enc
-    stage = dataclasses.replace(stage, subadc_layers=subadc_layers,
-                                residue_layers=residue_layers)
-    vdd = spec.vdd
-    lsb = 1.0 / spec.n_levels
-    k = np.arange(n)
-    t = 0.5 + (0.5 - lsb / 2.0) * np.sin(2.0 * np.pi * tone_bin * k / n)
-    v = np.clip(enc.denormalize(t), 0.0, vdd)
-    lvl, _ = stage_levels(stage, v)
-    _, enob = _metrics.sndr_enob((lvl + 0.5) * lsb, 1.0, tone_bin / n)
-    out = {"subadc_enob": enob}
-    if residue_layers is not None:
-        grid_points = np.arange(2048) / 2048.0 * vdd
-        _, pred = stage_levels(stage, grid_points, need_residue=True)
-        ideal = residue_targets(grid_points,
-                                stage_level_targets(grid_points, spec, enc),
-                                spec, enc)
-        out["residue_mse"] = float(((pred - ideal) ** 2).mean())
-    return out
+from .trainer import TrainedStage, evaluate_stage
 
 
 def perturbed_stage_metrics(stage: TrainedStage, sigma: float,
                             seed: int) -> dict:
-    rng = np.random.default_rng(seed)
-    sub = _perturbed(stage.subadc_layers, sigma, rng)
-    res = (_perturbed(stage.residue_layers, sigma, rng)
-           if stage.residue_layers else None)
-    return stage_metrics_from_layers(stage, sub, res)
+    """``evaluate_stage`` of a copy perturbed with sub-seeds from ``seed``."""
+    return evaluate_stage(perturbed_stage(stage, sigma,
+                                          np.random.default_rng(seed)))
 
 
 def median_perturbed_metrics(stage: TrainedStage, runs: int, sigma: float,
@@ -103,8 +67,8 @@ def precision_sweep(cfg: ExperimentConfig, resolutions, precisions,
             stage = None
             stage_score = None
             for k in range(seeds_per_point):
-                train_cfg = dataclasses.replace(
-                    cfg.train, precision_bits=ar, seed=base_seed + k)
+                train_cfg = dataclasses.replace(cfg.train,
+                                                seed=base_seed + k)
                 cand = train_stage(spec, cfg.encoding, family, grid,
                                    train_cfg, train_residue=train_residue)
                 enobs = [perturbed_stage_metrics(cand, sigma,

@@ -22,14 +22,17 @@ import numpy as np
 from . import metrics as _metrics
 from .crossbar import CrossbarLayer, DeviceGrid, instantiate_conductances, quantize_weight
 from .errors import ConfigError, ShapeError, TrainingError
+from .pipeline import stage_levels
+# the stage-target oracles live in signal_core; perfbench calls them here
 from .signal_core import (
+    TONE_BIN,
+    TONE_N,
     EncodingScheme,
     StageSpec,
-    ideal_stage_level,
-    log_stage_level,
-    log_stage_residue,
-    residue_arithmetic,
+    residue_targets,
+    sine_stimulus,
     smooth_decode_array,
+    stage_level_targets,
 )
 from .vtc import VtcFamily, vtc_eval
 
@@ -50,7 +53,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    precision_bits: int = 3
     seed: int = 0
     redraw_vtc: bool = True
     refine_passes: int = 4  # discrete post-training refinement sweeps
@@ -345,10 +347,15 @@ def _bump_levels(params: MlpParams, grid: DeviceGrid, bias_drive: float,
     return p
 
 
+def _params_score(params: MlpParams, x: np.ndarray, out_score,
+                  family: VtcFamily, kind: str, vdd: float) -> float:
+    """``out_score`` of the network's inference-mode output for ``x``."""
+    return out_score(forward_stage(params, x, family, "infer", kind, vdd))
+
+
 def _refine_with_hops(candidates, grid: DeviceGrid, bias_drive: float,
                       family: VtcFamily, kind: str, vdd: float,
-                      x: np.ndarray, out_score, param_score,
-                      passes: int, hops: int,
+                      x: np.ndarray, out_score, passes: int, hops: int,
                       rng: np.random.Generator) -> MlpParams:
     """Greedy refinement of every candidate plus basin-hopping restarts.
 
@@ -356,6 +363,9 @@ def _refine_with_hops(candidates, grid: DeviceGrid, bias_drive: float,
     weight move improves the score; random ±1-level kicks followed by
     re-refinement escape such basins cheaply.
     """
+    def param_score(p):
+        return _params_score(p, x, out_score, family, kind, vdd)
+
     best = min((refine_discrete(c, grid, bias_drive, family, kind, vdd, x,
                                 out_score, passes=passes)
                 for c in candidates), key=param_score)
@@ -396,26 +406,6 @@ class TrainedStage:
         return self.residue is not None
 
 
-def stage_level_targets(v: np.ndarray, spec: StageSpec,
-                        enc: EncodingScheme) -> np.ndarray:
-    """Ideal level of this stage for its encoding."""
-    if enc.kind == "linear":
-        return ideal_stage_level(v, spec)
-    if spec.resolution_bits != 1:
-        raise ConfigError("logarithmic stages must be 1-bit")
-    return log_stage_level(v / spec.vdd)
-
-
-def residue_targets(v: np.ndarray, level: np.ndarray, spec: StageSpec,
-                    enc: EncodingScheme) -> np.ndarray:
-    """Ground-truth residue for the stage's (possibly imperfect) level."""
-    if enc.kind == "linear":
-        r = residue_arithmetic(v, level, spec)
-    else:
-        r = log_stage_residue(v / spec.vdd, level) * spec.vdd
-    return np.clip(r, 0.0, spec.vdd)
-
-
 def _instantiate_net(params: MlpParams, grid: DeviceGrid,
                      bias_drive: float) -> tuple:
     w_full1 = np.vstack([params.w1, params.b1[None, :] / bias_drive])
@@ -453,12 +443,14 @@ def _init_params(f_in: int, hidden: int, f_out: int, grid: DeviceGrid,
 def _train_net(kind: str, make_batch, f_in: int, hidden: int, f_out: int,
                family: VtcFamily, grid: DeviceGrid, config: TrainConfig,
                bias_drive: float, vdd: float, rng: np.random.Generator,
-               score_fn):
+               eval_x: np.ndarray, out_score):
     """Adam + periodic projection.
 
-    Returns ``(best_projected, final_continuous)``: the best projected
-    snapshot seen during the run and the final unprojected parameters
-    (a second candidate starting point for discrete refinement).
+    Each projected snapshot is scored by ``out_score`` of its
+    inference-mode output for ``eval_x``.  Returns ``(best_projected,
+    final_continuous)``: the best projected snapshot seen during the run
+    and the final unprojected parameters (a second candidate starting
+    point for discrete refinement).
     """
     params = _init_params(f_in, hidden, f_out, grid, bias_drive, vdd,
                           family.nominal.v_m, rng)
@@ -482,21 +474,13 @@ def _train_net(kind: str, make_batch, f_in: int, hidden: int, f_out: int,
         clip_params(params, grid, bias_drive)
         if (it + 1) % config.projection_period == 0 or it + 1 == config.total_iters:
             projected = project(params, grid, bias_drive)
-            score = score_fn(projected)
+            score = _params_score(projected, eval_x, out_score, family,
+                                  kind, vdd)
             if score < best_score:
                 best_score = score
                 best = projected.copy()
     assert best is not None
     return best, params
-
-
-def _subadc_score(params: MlpParams, spec: StageSpec, enc: EncodingScheme,
-                  family: VtcFamily, grid_points: np.ndarray) -> float:
-    bits = forward_stage(params, grid_points[:, None], family, "infer",
-                         "subadc", spec.vdd)
-    lvl = smooth_decode_array(bits / family.nominal.v_high, spec)
-    ideal = stage_level_targets(grid_points, spec, enc)
-    return float(np.abs(lvl - ideal).mean())
 
 
 def subadc_hard_bits(params: MlpParams, v: np.ndarray, spec: StageSpec,
@@ -530,15 +514,16 @@ def train_stage(spec: StageSpec, enc: EncodingScheme, family: VtcFamily,
         lvl = stage_level_targets(r[:, 0], spec, enc)
         return r, codes[lvl] * rail
 
-    sub_snap, sub_final = _train_net(
-        "subadc", subadc_batch, 1, spec.subadc_hidden, spec.smooth_width,
-        family, grid, config, bias_drive, vdd, rng_sub,
-        lambda p: _subadc_score(p, spec, enc, family, eval_grid))
     ideal_lvl = stage_level_targets(eval_grid, spec, enc)
 
     def sub_out_score(out):
         lvl = smooth_decode_array(out / rail, spec)
         return float(np.abs(lvl - ideal_lvl).mean())
+
+    sub_snap, sub_final = _train_net(
+        "subadc", subadc_batch, 1, spec.subadc_hidden, spec.smooth_width,
+        family, grid, config, bias_drive, vdd, rng_sub, eval_grid[:, None],
+        sub_out_score)
 
     # Fresh transition-aware inits give the refiner starting basins the
     # gradient run may have abandoned; they cost almost nothing here.
@@ -548,7 +533,6 @@ def train_stage(spec: StageSpec, enc: EncodingScheme, family: VtcFamily,
     subadc = _refine_with_hops(
         [sub_snap, sub_final, *sub_restarts], grid, bias_drive, family,
         "subadc", vdd, eval_grid[:, None], sub_out_score,
-        lambda p: _subadc_score(p, spec, enc, family, eval_grid),
         passes=min(config.refine_passes, 2), hops=config.refine_hops,
         rng=rng_hop)
 
@@ -571,23 +555,17 @@ def train_stage(spec: StageSpec, enc: EncodingScheme, family: VtcFamily,
         eval_bits = subadc_hard_bits(subadc, eval_grid, spec, family)
         eval_x = np.hstack([eval_grid[:, None], eval_bits])
 
-        def residue_score(p):
-            out = forward_stage(p, eval_x, family, "infer", "residue", vdd)
+        def res_out_score(out):
             pred = np.clip(out[:, 0], 0.0, vdd)
             return float(((pred - ideal_res) ** 2).mean())
 
         res_snap, res_final = _train_net(
             "residue", residue_batch, 1 + spec.smooth_width,
             spec.residue_hidden, 1, family, grid, config, bias_drive, vdd,
-            rng_res, residue_score)
-
-        def res_out_score(out):
-            pred = np.clip(out[:, 0], 0.0, vdd)
-            return float(((pred - ideal_res) ** 2).mean())
-
+            rng_res, eval_x, res_out_score)
         residue = _refine_with_hops(
             [res_snap, res_final], grid, bias_drive, family, "residue",
-            vdd, eval_x, res_out_score, residue_score,
+            vdd, eval_x, res_out_score,
             passes=config.refine_passes, hops=config.refine_hops,
             rng=rng_hop)
         residue_layers = _instantiate_net(residue, grid, bias_drive)
@@ -600,28 +578,23 @@ def train_stage(spec: StageSpec, enc: EncodingScheme, family: VtcFamily,
     return stage
 
 
-def evaluate_stage(stage: TrainedStage, n: int = 4096, tone_bin: int = 127) -> dict:
-    """Sub-ADC ENOB (coherent sine test) and residue MSE vs the ideal."""
-    spec, enc, family = stage.spec, stage.enc, stage.family
-    vdd = spec.vdd
-    nbits = spec.resolution_bits
-    lsb = 1.0 / (1 << nbits)
-    k = np.arange(n)
-    t = 0.5 + (0.5 - lsb / 2.0) * np.sin(2.0 * np.pi * tone_bin * k / n)
-    v = np.clip(enc.denormalize(t), 0.0, vdd)
-    bits = subadc_hard_bits(stage.subadc, v, spec, family)
-    lvl = smooth_decode_array(bits / family.nominal.v_high, spec)
-    rec = (lvl + 0.5) * lsb
-    _, enob = _metrics.sndr_enob(rec, 1.0, tone_bin / n)
+def evaluate_stage(stage: TrainedStage) -> dict:
+    """Sub-ADC ENOB (coherent sine test) and residue MSE vs the ideal.
+
+    The stage is measured through its crossbars, by the stage forward a
+    conversion runs, so a perturbed copy of the stage is measured as a
+    pipeline would convert with it.
+    """
+    spec, enc = stage.spec, stage.enc
+    lsb = 1.0 / spec.n_levels
+    stim = sine_stimulus(TONE_N, TONE_BIN, 0.5 - lsb / 2.0, enc, spec.vdd)
+    lvl, _ = stage_levels(stage, stim.samples)
+    _, enob = _metrics.sndr_enob((lvl + 0.5) * lsb, stim.f_s, stim.f_in)
     out = {"subadc_enob": enob}
     if stage.has_residue:
-        grid_points = np.arange(2048) / 2048.0 * vdd
-        gbits = subadc_hard_bits(stage.subadc, grid_points, spec, family)
-        net_out = forward_stage(stage.residue, np.hstack([grid_points[:, None], gbits]),
-                                family, "infer", "residue", vdd)
-        pred = np.clip(net_out[:, 0], 0.0, vdd)
-        ideal = residue_targets(grid_points,
-                                stage_level_targets(grid_points, spec, enc),
-                                spec, enc)
-        out["residue_mse"] = float(((pred - ideal) ** 2).mean())
+        out["residue_mse"] = _metrics.residue_mse(
+            lambda v: stage_levels(stage, v, need_residue=True)[1],
+            lambda v: residue_targets(v, stage_level_targets(v, spec, enc),
+                                      spec, enc),
+            spec.vdd)
     return out

@@ -123,14 +123,6 @@ def vtc_eval(p: VtcParams, v, out=None):
     return float(out) if np.isscalar(v) else out
 
 
-def vtc_derivative(p: VtcParams, v):
-    """Analytic d(vtc_eval)/dv; equals -(v_high - v_low)/(4s) at v_m."""
-    z = (p.v_m - np.asarray(v, dtype=float)) / p.s
-    sig = _logistic(z)
-    out = -(p.v_high - p.v_low) / p.s * sig * (1.0 - sig)
-    return float(out) if np.isscalar(v) else out
-
-
 def sample_family(n: int, variation: VariationSpec, seed: int,
                   nominal: VtcParams) -> VtcFamily:
     """Gaussian parameter spread around the nominal curve, seed-determined."""

@@ -80,6 +80,20 @@ class TestTrainStage:
                                                     SystemExit)
         assert f"error: {field}" in res.output
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"mc_run": 5}, "unknown config key(s): mc_run"),
+        ({"grid": {"g_off": 2e-5}}, "grid: DeviceError"),
+        ({"cost_table": {"1": {"power": 1}}}, "cost_table: KeyError")])
+    def test_bad_key_or_block_exit_code(self, runner, workdir, extra,
+                                        message):
+        cfg = {**json.loads(workdir["cfg"].read_text()), **extra}
+        workdir["cfg"].write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["train-stage", "--config",
+                                   str(workdir["cfg"])])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert f"error: {message}" in res.output
+
 
 class TestPipelineCommands:
     def test_build_simulate_mc(self, runner, workdir):

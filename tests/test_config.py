@@ -33,12 +33,28 @@ class TestFromDict:
             "train": {"total_iters": 10, "batch_size": 8,
                       "projection_period": 2},
             "encoding": {"kind": "logarithmic"},
-            "composition": [1, 1, 2],
             "seed": 42})
         assert cfg.grid.precision_bits == 4
         assert cfg.train.total_iters == 10
         assert cfg.encoding.kind == "logarithmic"
-        assert cfg.composition == (1, 1, 2)
+
+    @pytest.mark.parametrize("data, key", [
+        ({"mc_run": 5}, "mc_run"),
+        ({"seed": 1, "composition": [1, 1, 2]}, "composition"),
+        ({"train": {"precision_bits": 3}}, "precision_bits")])
+    def test_rejects_unknown_key(self, data, key):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("data, key", [
+        ({"grid": {"g_off": 2e-5}}, "grid"),
+        ({"grid": 3}, "grid"),
+        ({"encoding": {"kind": "cubic"}}, "encoding"),
+        ({"cost_table": {"1": {"power": 1}}}, "cost_table"),
+        ({"cost_table": [1]}, "cost_table")])
+    def test_bad_block_is_config_error(self, data, key):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            ExperimentConfig.from_dict(data)
 
     def test_rejects_bad_field(self):
         with pytest.raises(ConfigError):

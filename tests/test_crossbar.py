@@ -49,15 +49,14 @@ class TestWeightsFromConductances:
     def test_symmetric_pairs_give_zero(self):
         g = np.full((3, 2), 5e-6)
         layer = CrossbarLayer(g_u=g, g_l=g, grid=SPEC_GRID)
-        w, off = weights_from_conductances(layer)
+        w = weights_from_conductances(layer)
         assert w == pytest.approx(np.zeros((3, 2)))
-        assert off == pytest.approx(np.zeros(2))
 
     def test_direct_arithmetic(self):
         g_u = np.array([[200e-6], [100e-6]])
         g_l = np.array([[100e-6], [100e-6]])
         layer = CrossbarLayer(g_u=g_u, g_l=g_l, grid=SPEC_GRID)
-        w, _ = weights_from_conductances(layer)
+        w = weights_from_conductances(layer)
         assert w[:, 0] == pytest.approx([0.2, 0.0])
 
     def test_column_sum_below_one(self):
@@ -65,7 +64,7 @@ class TestWeightsFromConductances:
         g_u = np.full((3, 1), SPEC_GRID.g_on)
         g_l = np.full((3, 1), SPEC_GRID.g_off)
         layer = CrossbarLayer(g_u=g_u, g_l=g_l, grid=SPEC_GRID)
-        w, _ = weights_from_conductances(layer)
+        w = weights_from_conductances(layer)
         assert np.abs(w).sum() == pytest.approx(21.0 / 27.0)
         assert np.abs(w).sum() < 1.0
 
@@ -92,7 +91,7 @@ class TestVmm:
         layer = CrossbarLayer(g_u=g_u, g_l=g_l, grid=SPEC_GRID,
                               bias_voltage=1.2)
         v = rng.uniform(0.0, 1.0, size=5)
-        w, _ = weights_from_conductances(layer)
+        w = weights_from_conductances(layer)
         want = [sum(w[k, j] * v[k] for k in range(5)) + w[5, j] * 1.2
                 for j in range(4)]
         assert vmm(layer, v) == pytest.approx(want, abs=1e-12)
@@ -175,7 +174,7 @@ class TestInstantiateConductances:
             m = int(rng.integers(1, 5))
             w = quantize_weight(rng.uniform(-1, 1, size=(h, m)), SPEC_GRID, h)
             layer = instantiate_conductances(w, SPEC_GRID)
-            got, _ = weights_from_conductances(layer)
+            got = weights_from_conductances(layer)
             assert got == pytest.approx(w, rel=1e-12, abs=1e-15)
 
     def test_complementary_invariant(self):
@@ -198,7 +197,7 @@ class TestInstantiateConductances:
                 for b in levels:
                     layer = instantiate_conductances(
                         np.array([[a], [b]]), grid)
-                    w, _ = weights_from_conductances(layer)
+                    w = weights_from_conductances(layer)
                     assert np.abs(w).sum() < 1.0
 
 

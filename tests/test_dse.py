@@ -109,12 +109,3 @@ class TestOptimize:
         ranked = optimize(10, table)
         keys = [r.sort_key() for r in ranked]
         assert keys == sorted(keys)
-
-    def test_custom_enob_fn(self):
-        table = CostTable(entries={
-            1: StageCost(1e-3, 1e9, 1e-3),
-            2: StageCost(2e-3, 1e9, 2e-3),
-            3: StageCost(3e-3, 1e9, 3e-3)})
-        # penalizing many stages must favor coarse stages
-        ranked = optimize(6, table, enob_fn=lambda c: sum(c) - 0.4 * len(c))
-        assert ranked[0].composition == (3, 3)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nnadc.crossbar import DeviceGrid
+from nnadc.crossbar import PerturbationSpec, perturb_resistances
 from nnadc.errors import ConfigError
 from nnadc.pipeline import (
     IdealStage,
@@ -12,6 +12,7 @@ from nnadc.pipeline import (
     convert,
     monte_carlo_eval,
     perturbed_pipeline,
+    perturbed_stage,
     pipeline_enob,
     reconstruct,
     simulate_pipeline,
@@ -20,14 +21,10 @@ from nnadc.pipeline import (
 from nnadc.signal_core import (
     DigitalCode,
     EncodingScheme,
-    SineStimulus,
     StageSpec,
-    coherent_tone,
     ideal_adc,
-    sample_sine,
+    sine_stimulus,
 )
-from nnadc.trainer import TrainConfig, train_stage
-from nnadc.vtc import default_family
 
 VDD = 1.0
 ENC = EncodingScheme()
@@ -126,33 +123,50 @@ class TestIdealEnob:
     def test_eight_bit_sine(self):
         p = ideal_pipeline((1,) * 8)
         lsb = 1.0 / 256
-        stim = sample_sine(0.5 - lsb / 2, coherent_tone(4096, 127), 1.0,
-                           4096, offset=0.5, vdd=VDD)
+        stim = sine_stimulus(4096, 127, 0.5 - lsb / 2, ENC, VDD)
         assert pipeline_enob(p, stim, mode="ideal") == \
             pytest.approx(8.012, abs=0.01)
 
 
-def tiny_trained_pipeline(n_stages=2):
-    family = default_family(VDD, n=10, seed=3)
-    cfg = TrainConfig(batch_size=64, total_iters=64, projection_period=16,
-                      refine_passes=0, seed=5)
-    stage = train_stage(StageSpec(resolution_bits=1, vdd=VDD), ENC, family,
-                        DeviceGrid(), cfg)
-    return PipelineConfig(stages=(stage,) * n_stages, enc=ENC)
+@pytest.fixture()
+def tiny_trained_pipeline(tiny_stage):
+    return PipelineConfig(stages=(tiny_stage,) * 2, enc=ENC)
 
 
 class TestBehavioral:
-    def test_behavioral_runs_and_codes_in_range(self):
-        p = tiny_trained_pipeline()
-        codes = convert(p, np.linspace(0, 1, 64), mode="behavioral")
+    def test_behavioral_runs_and_codes_in_range(self, tiny_trained_pipeline):
+        codes = convert(tiny_trained_pipeline, np.linspace(0, 1, 64),
+                        mode="behavioral")
         assert codes.min() >= 0 and codes.max() < 4
 
-    def test_perturbation_sigma_zero_identity(self):
-        p = tiny_trained_pipeline()
+    def test_behavioral_rejects_ideal_stage(self):
+        with pytest.raises(ConfigError, match="trained stage"):
+            convert(ideal_pipeline((1, 1)), np.array([0.3]),
+                    mode="behavioral")
+
+    def test_perturbation_sigma_zero_identity(self, tiny_trained_pipeline):
+        p = tiny_trained_pipeline
         assert perturbed_pipeline(p, 0.0, seed=1) is p
 
-    def test_perturbation_deterministic_and_pure(self):
-        p = tiny_trained_pipeline()
+    def test_one_sub_seed_per_layer(self, tiny_trained_pipeline):
+        # stage by stage, sub-ADC layers first, one draw from the run's rng
+        p = tiny_trained_pipeline
+        rng = np.random.default_rng(9)
+        want = [perturb_resistances(l, PerturbationSpec(
+                    sigma=0.05, seed=int(rng.integers(2 ** 31))))
+                for s in p.stages
+                for l in (*s.subadc_layers, *s.residue_layers)]
+        rng = np.random.default_rng(9)
+        for got in (perturbed_pipeline(p, 0.05, seed=9).stages,
+                    [perturbed_stage(s, 0.05, rng) for s in p.stages]):
+            layers = [l for s in got
+                      for l in (*s.subadc_layers, *s.residue_layers)]
+            for a, b in zip(layers, want, strict=True):
+                np.testing.assert_array_equal(a.g_u, b.g_u)
+                np.testing.assert_array_equal(a.g_l, b.g_l)
+
+    def test_perturbation_deterministic_and_pure(self, tiny_trained_pipeline):
+        p = tiny_trained_pipeline
         g_before = p.stages[0].subadc_layers[0].g_u.copy()
         a = perturbed_pipeline(p, 0.05, seed=9)
         b = perturbed_pipeline(p, 0.05, seed=9)
@@ -164,10 +178,10 @@ class TestBehavioral:
         np.testing.assert_array_equal(p.stages[0].subadc_layers[0].g_u,
                                       g_before)
 
-    def test_monte_carlo_sigma_zero_deterministic(self):
-        p = tiny_trained_pipeline()
-        stim = sample_sine(0.49, coherent_tone(256, 17), 1.0, 256,
-                           offset=0.5, vdd=VDD)
+    def test_monte_carlo_sigma_zero_deterministic(self,
+                                                  tiny_trained_pipeline):
+        p = tiny_trained_pipeline
+        stim = sine_stimulus(256, 17, 0.49, ENC, VDD)
         mc = McEvalSpec(runs=3, sigma=0.0, seed=0)
         summary = monte_carlo_eval(p, mc, stim)
         ref = pipeline_enob(p, stim, mode="behavioral")

@@ -5,21 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from nnadc.errors import (ConfigError, ContractViolation, DomainError,
-                          ShapeError)
+from nnadc.errors import (CoherenceError, ConfigError, ContractViolation,
+                          DomainError, ShapeError)
+from nnadc.metrics import sndr_enob
 from nnadc.signal_core import (
     DigitalCode,
     EncodingScheme,
     LOG_THRESHOLD,
     StageSpec,
-    coherent_tone,
     ideal_adc,
     ideal_residue,
     ideal_stage_level,
     log_stage_level,
     log_stage_oracle,
     log_stage_residue,
-    sample_sine,
+    sine_stimulus,
     smooth_decode,
     smooth_decode_array,
     smooth_encode,
@@ -248,16 +248,37 @@ class TestLogStages:
 
 
 class TestSineStimulus:
+    # the builder does no validation: the record is judged where it is
+    # measured, by metrics.sndr_enob
     def test_coherent_flag(self):
-        assert sample_sine(0.5, coherent_tone(4096, 127), 1.0, 4096).coherent
-        assert not sample_sine(0.5, coherent_tone(4096, 128), 1.0, 4096).coherent
-        assert not sample_sine(0.5, 0.031, 1.0, 4096).coherent
+        def measure(tone_bin):
+            stim = sine_stimulus(4096, tone_bin, 0.5, EncodingScheme(), 1.0)
+            return sndr_enob(stim.samples, stim.f_s, stim.f_in)
+
+        measure(127)
+        for tone_bin in (128, 0.031 * 4096):
+            with pytest.raises(CoherenceError):
+                measure(tone_bin)
 
     def test_power_of_two_required(self):
-        with pytest.raises(ConfigError):
-            sample_sine(0.5, 0.1, 1.0, 1000)
+        stim = sine_stimulus(1000, 31, 0.5, EncodingScheme(), 1.0)
+        with pytest.raises(ShapeError):
+            sndr_enob(stim.samples, stim.f_s, stim.f_in)
+
+    def test_tone_on_bin(self):
+        stim = sine_stimulus(64, 7, 0.25, EncodingScheme(), 1.0)
+        k = np.arange(64)
+        np.testing.assert_array_equal(
+            stim.samples, 0.5 + 0.25 * np.sin(2.0 * np.pi * 7 * k / 64))
+        assert (stim.f_in, stim.f_s) == (7 / 64, 1.0)
+
+    def test_denormalized_through_encoding(self):
+        enc = EncodingScheme(kind="logarithmic", v_min=0.1, v_max=0.9)
+        stim = sine_stimulus(256, 17, 0.4, enc, 1.0)
+        want = sine_stimulus(256, 17, 0.4, EncodingScheme(), 1.0).samples
+        np.testing.assert_array_equal(stim.samples, enc.denormalize(want))
 
     def test_clipping(self):
-        stim = sample_sine(2.0, coherent_tone(64, 7), 1.0, 64, offset=0.5,
-                           vdd=1.0)
-        assert stim.samples.min() >= 0.0 and stim.samples.max() <= 1.0
+        enc = EncodingScheme(v_min=-0.5, v_max=1.5)
+        stim = sine_stimulus(64, 7, 0.5, enc, 1.0)
+        assert stim.samples.min() == 0.0 and stim.samples.max() == 1.0

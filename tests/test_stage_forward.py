@@ -35,9 +35,9 @@ from nnadc.pipeline import (
     stage_levels,
 )
 from nnadc.signal_core import EncodingScheme, StageSpec, smooth_decode_array
-from nnadc.sweep import stage_metrics_from_layers
 from nnadc.trainer import (
     TrainConfig,
+    evaluate_stage,
     residue_targets,
     stage_level_targets,
     train_stage,
@@ -63,7 +63,7 @@ def ref_vtc(p, v):
 
 
 def ref_vmm(layer, v_in, v_bias=None):
-    w, _ = weights_from_conductances(layer)
+    w = weights_from_conductances(layer)
     v = np.asarray(v_in, dtype=float)
     batched = v.ndim == 2
     if not batched:
@@ -233,7 +233,9 @@ class TestConvertMatchesReference:
                     for i, l in enumerate(tiny_stage.subadc_layers))
         res = tuple(perturb_resistances(l, PerturbationSpec(sigma, seed=9 + i))
                     for i, l in enumerate(tiny_stage.residue_layers))
-        got = stage_metrics_from_layers(tiny_stage, sub, res)
+        stage = dataclasses.replace(tiny_stage, subadc_layers=sub,
+                                    residue_layers=res)
+        got = evaluate_stage(stage)
         assert repr(got) == repr(ref_stage_metrics(tiny_stage, sub, res))
 
 
@@ -314,7 +316,7 @@ class TestLayerWeights:
         assert_same_bits(vmm(layer, v), first)
         assert layer.weights is layer.weights
         assert calls == [layer]
-        np.testing.assert_array_equal(layer.weights, real(layer)[0])
+        np.testing.assert_array_equal(layer.weights, real(layer))
 
     def test_perturbed_layer_has_its_own_weights(self):
         layer = random_layer(np.random.default_rng(2), 4, 3, 2.5)
@@ -323,9 +325,9 @@ class TestLayerWeights:
         assert child.weights is not parent
         assert not np.array_equal(child.weights, parent)
         np.testing.assert_array_equal(child.weights,
-                                      weights_from_conductances(child)[0])
+                                      weights_from_conductances(child))
         np.testing.assert_array_equal(layer.weights,
-                                      weights_from_conductances(layer)[0])
+                                      weights_from_conductances(layer))
 
     def test_conductances_and_weights_read_only(self):
         g = np.full((3, 2), 2e-6)

@@ -8,16 +8,13 @@ from nnadc.sweep import (
     median_perturbed_metrics,
     perturbed_stage_metrics,
     precision_sweep,
-    stage_metrics_from_layers,
 )
 
 
 class TestPerturbedMetrics:
     def test_sigma_zero_matches_training_metrics(self, tiny_stage):
         m = perturbed_stage_metrics(tiny_stage, 0.0, seed=0)
-        base = stage_metrics_from_layers(tiny_stage, tiny_stage.subadc_layers,
-                                         tiny_stage.residue_layers)
-        assert repr(m) == repr(base)
+        assert repr(m) == repr(tiny_stage.train_metrics)
 
     def test_deterministic_per_seed(self, tiny_stage):
         a = perturbed_stage_metrics(tiny_stage, 0.05, seed=4)

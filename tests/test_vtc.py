@@ -10,7 +10,6 @@ from nnadc.vtc import (
     default_family,
     nominal_vtc,
     sample_family,
-    vtc_derivative,
     vtc_eval,
 )
 
@@ -48,26 +47,6 @@ class TestVtcEval:
             VtcParams(v_m=0.5, s=0.0, v_high=1.0)
         with pytest.raises(ConfigError):
             VtcParams(v_m=0.5, s=0.1, v_high=0.0, v_low=0.5)
-
-
-class TestVtcDerivative:
-    def test_peak_slope(self):
-        p = VtcParams(v_m=0.75, s=0.05, v_high=1.5, v_low=0.0)
-        assert vtc_derivative(p, 0.75) == pytest.approx(-7.5, abs=1e-9)
-
-    def test_saturated_slope_tiny(self):
-        p = VtcParams(v_m=0.5, s=0.02, v_high=1.5, v_low=0.0)
-        assert abs(vtc_derivative(p, 2.0)) < 1e-6
-
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            p = VtcParams(v_m=rng.uniform(0.3, 0.8), s=rng.uniform(0.02, 0.1),
-                          v_high=rng.uniform(1.0, 2.0), v_low=0.0)
-            v = rng.uniform(p.v_m - 2 * p.s, p.v_m + 2 * p.s)
-            eps = 1e-6
-            fd = (vtc_eval(p, v + eps) - vtc_eval(p, v - eps)) / (2 * eps)
-            assert vtc_derivative(p, v) == pytest.approx(fd, rel=1e-5)
 
 
 class TestFamilies:
