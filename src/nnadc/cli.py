@@ -9,8 +9,8 @@ Exit codes:
 
 - 0: success;
 - 2: configuration error (``ConfigError``), including an unknown key, a
-  config field of the wrong type, a bad nested block and a
-  ``stimulus_n`` that is not a power of two;
+  config field of the wrong type, a bad nested block, a ``stimulus_n``
+  that is not a power of two and an unreadable ``dse --table`` file;
 - 3: training divergence (``TrainingError``);
 - 4: model-reference error (``ModelRefError``);
 - 5: any other invalid input or model data (every other ``NnadcError``,
@@ -45,15 +45,21 @@ EXIT_MODEL_REF = 4
 EXIT_INPUT = 5
 
 
-def _fail(exc: Exception) -> None:
-    # first match wins, so the NnadcError base class comes last
-    kind = {ConfigError: EXIT_CONFIG, TrainingError: EXIT_TRAINING,
-            ModelRefError: EXIT_MODEL_REF, NnadcError: EXIT_INPUT}
-    for cls, code in kind.items():
-        if isinstance(exc, cls):
+# first match wins, so the NnadcError base class comes last
+_EXIT_CODES = ((ConfigError, EXIT_CONFIG), (TrainingError, EXIT_TRAINING),
+               (ModelRefError, EXIT_MODEL_REF), (NnadcError, EXIT_INPUT))
+
+
+class _Cli(click.Group):
+    """Command group that ends every ``NnadcError`` with its exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except NnadcError as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(code)
-    raise exc
+            sys.exit(next(code for cls, code in _EXIT_CODES
+                          if isinstance(exc, cls)))
 
 
 def _parse_ints(text: str):
@@ -62,10 +68,6 @@ def _parse_ints(text: str):
         lo, hi = text.split("..")
         return list(range(int(lo), int(hi) + 1))
     return [int(t) for t in text.split(",") if t]
-
-
-def _load_config(path) -> ExperimentConfig:
-    return ExperimentConfig.from_file(path)
 
 
 def _write_manifest(cfg: ExperimentConfig, command: str, outputs) -> None:
@@ -80,13 +82,19 @@ def _write_manifest(cfg: ExperimentConfig, command: str, outputs) -> None:
         json.dumps(manifest, indent=1))
 
 
+def _load_pipeline(cfg: ExperimentConfig, path, force: bool):
+    """Pipeline file whose stages must come from ``cfg`` unless ``force``."""
+    return modelio.load_pipeline(path,
+                                 check_hash=None if force else cfg.run_hash())
+
+
 def _stimulus(cfg: ExperimentConfig, enc) -> SineStimulus:
     """Near-full-scale tone in the encoding's normalized domain."""
     return sine_stimulus(cfg.stimulus_n, cfg.stimulus_bin, 0.4999, enc,
                          cfg.vdd)
 
 
-@click.group()
+@click.group(cls=_Cli)
 def main() -> None:
     """Pipelined RRAM-crossbar ADC training and simulation toolkit."""
 
@@ -99,32 +107,29 @@ def main() -> None:
 @click.option("--terminal", is_flag=True, help="sub-ADC only, no residue")
 def cmd_train_stage(config_path, n_bits, ar, seed, terminal):
     """Train one stage and write its model file."""
-    try:
-        cfg = _load_config(config_path)
-        grid = cfg.grid
-        if ar is not None:
-            grid = dataclasses.replace(grid, precision_bits=ar)
-        train_cfg = dataclasses.replace(
-            cfg.train, seed=seed if seed is not None
-            else split_seed(cfg.seed, f"train-n{n_bits}"))
-        spec = StageSpec(resolution_bits=n_bits, vdd=cfg.vdd)
-        stage = train_stage(spec, cfg.encoding, cfg.family(), grid, train_cfg,
-                            train_residue=not terminal)
-        out = cfg.out_dir()
-        path = out / f"stage_n{n_bits}_ar{grid.precision_bits}_s{train_cfg.seed}.json"
-        modelio.save_stage(stage, path, run_hash=cfg.run_hash())
-        metrics_path = out / "stage_metrics.csv"
-        modelio.write_csv(metrics_path,
-                          ["model", "n", "ar", "seed", "subadc_enob",
-                           "residue_mse"],
-                          [[path.name, n_bits, grid.precision_bits,
-                            train_cfg.seed,
-                            stage.train_metrics.get("subadc_enob", ""),
-                            stage.train_metrics.get("residue_mse", "")]])
-        _write_manifest(cfg, "train-stage", [path, metrics_path])
-        click.echo(f"wrote {path}")
-    except Exception as exc:  # noqa: BLE001 - mapped to exit codes
-        _fail(exc)
+    cfg = ExperimentConfig.from_file(config_path)
+    grid = cfg.grid
+    if ar is not None:
+        grid = dataclasses.replace(grid, precision_bits=ar)
+    train_cfg = dataclasses.replace(
+        cfg.train, seed=seed if seed is not None
+        else split_seed(cfg.seed, f"train-n{n_bits}"))
+    spec = StageSpec(resolution_bits=n_bits, vdd=cfg.vdd)
+    stage = train_stage(spec, cfg.encoding, cfg.family(), grid, train_cfg,
+                        train_residue=not terminal)
+    out = cfg.out_dir()
+    path = out / f"stage_n{n_bits}_ar{grid.precision_bits}_s{train_cfg.seed}.json"
+    modelio.save_stage(stage, path, run_hash=cfg.run_hash())
+    metrics_path = out / "stage_metrics.csv"
+    modelio.write_csv(metrics_path,
+                      ["model", "n", "ar", "seed", "subadc_enob",
+                       "residue_mse"],
+                      [[path.name, n_bits, grid.precision_bits,
+                        train_cfg.seed,
+                        stage.train_metrics.get("subadc_enob", ""),
+                        stage.train_metrics.get("residue_mse", "")]])
+    _write_manifest(cfg, "train-stage", [path, metrics_path])
+    click.echo(f"wrote {path}")
 
 
 @main.command("sweep-precision")
@@ -135,19 +140,16 @@ def cmd_train_stage(config_path, n_bits, ar, seed, terminal):
 @click.option("--sigma", type=float, default=None)
 def cmd_sweep_precision(config_path, n_list, ar_list, runs, sigma):
     """Median accuracy vs RRAM precision under resistance perturbation."""
-    try:
-        cfg = _load_config(config_path)
-        rows = _sweep.precision_sweep(
-            cfg, _parse_ints(n_list), _parse_ints(ar_list),
-            runs if runs is not None else cfg.mc_runs,
-            sigma if sigma is not None else cfg.mc_sigma)
-        path = cfg.out_dir() / "sweep_precision.csv"
-        modelio.write_csv(path, ["n", "ar", "median_subadc_enob",
-                                 "median_residue_mse"], rows)
-        _write_manifest(cfg, "sweep-precision", [path])
-        click.echo(f"wrote {path}")
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    cfg = ExperimentConfig.from_file(config_path)
+    rows = _sweep.precision_sweep(
+        cfg, _parse_ints(n_list), _parse_ints(ar_list),
+        runs if runs is not None else cfg.mc_runs,
+        sigma if sigma is not None else cfg.mc_sigma)
+    path = cfg.out_dir() / "sweep_precision.csv"
+    modelio.write_csv(path, ["n", "ar", "median_subadc_enob",
+                             "median_residue_mse"], rows)
+    _write_manifest(cfg, "sweep-precision", [path])
+    click.echo(f"wrote {path}")
 
 
 @main.command("build-pipeline")
@@ -157,20 +159,17 @@ def cmd_sweep_precision(config_path, n_list, ar_list, runs, sigma):
 @click.option("--out", "out_name", default="pipeline.json")
 def cmd_build_pipeline(config_path, stage_list, out_name):
     """Assemble a pipeline description from stage model files."""
-    try:
-        cfg = _load_config(config_path)
-        paths = [Path(p) for p in stage_list.split(",") if p]
-        for p in paths:
-            if not p.exists():
-                raise ModelRefError(f"missing stage model file {p}")
-        out = cfg.out_dir() / out_name
-        modelio.save_pipeline(out, paths, cfg.encoding,
-                              run_hash=cfg.run_hash())
-        modelio.load_pipeline(out)  # validates stage refs and resolution
-        _write_manifest(cfg, "build-pipeline", [out])
-        click.echo(f"wrote {out}")
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    cfg = ExperimentConfig.from_file(config_path)
+    paths = [Path(p) for p in stage_list.split(",") if p]
+    for p in paths:
+        if not p.exists():
+            raise ModelRefError(f"missing stage model file {p}")
+    out = cfg.out_dir() / out_name
+    modelio.save_pipeline(out, paths, cfg.encoding,
+                          run_hash=cfg.run_hash())
+    modelio.load_pipeline(out)  # validates stage refs and resolution
+    _write_manifest(cfg, "build-pipeline", [out])
+    click.echo(f"wrote {out}")
 
 
 @main.command("simulate")
@@ -182,22 +181,18 @@ def cmd_build_pipeline(config_path, stage_list, out_name):
               help="accept stage models built from another config")
 def cmd_simulate(config_path, pipeline_path, mode, force):
     """Convert a coherent sine and export the conversion trace."""
-    try:
-        cfg = _load_config(config_path)
-        check = None if force else cfg.run_hash()
-        p = modelio.load_pipeline(pipeline_path, check_hash=check)
-        stim = _stimulus(cfg, p.enc)
-        codes = _pipe.convert(p, stim.samples, mode)
-        rec = _pipe.reconstruct(codes, p.enc, width=p.reso)
-        _, enob = _metrics.enob_of_codes(codes, p.reso, stim.f_s, stim.f_in)
-        path = cfg.out_dir() / "trace.csv"
-        modelio.write_csv(path, ["input_v", "code", "reconstructed_v"],
-                          zip(stim.samples.tolist(), codes.tolist(),
-                              np.asarray(rec).tolist()))
-        _write_manifest(cfg, "simulate", [path])
-        click.echo(f"ENOB {enob:.3f} bits; wrote {path}")
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    cfg = ExperimentConfig.from_file(config_path)
+    p = _load_pipeline(cfg, pipeline_path, force)
+    stim = _stimulus(cfg, p.enc)
+    codes = _pipe.convert(p, stim.samples, mode)
+    rec = _pipe.reconstruct(codes, p.enc, width=p.reso)
+    _, enob = _metrics.enob_of_codes(codes, p.reso, stim.f_s, stim.f_in)
+    path = cfg.out_dir() / "trace.csv"
+    modelio.write_csv(path, ["input_v", "code", "reconstructed_v"],
+                      zip(stim.samples.tolist(), codes.tolist(),
+                          np.asarray(rec).tolist()))
+    _write_manifest(cfg, "simulate", [path])
+    click.echo(f"ENOB {enob:.3f} bits; wrote {path}")
 
 
 @main.command("mc-eval")
@@ -208,23 +203,19 @@ def cmd_simulate(config_path, pipeline_path, mode, force):
 @click.option("--force", is_flag=True)
 def cmd_mc_eval(config_path, pipeline_path, runs, sigma, force):
     """Monte Carlo resistance-perturbation evaluation of a pipeline."""
-    try:
-        cfg = _load_config(config_path)
-        check = None if force else cfg.run_hash()
-        p = modelio.load_pipeline(pipeline_path, check_hash=check)
-        mc = _pipe.McEvalSpec(
-            runs=runs if runs is not None else cfg.mc_runs,
-            sigma=sigma if sigma is not None else cfg.mc_sigma,
-            seed=split_seed(cfg.seed, "mc-eval"))
-        summary = _pipe.monte_carlo_eval(p, mc, _stimulus(cfg, p.enc))
-        path = cfg.out_dir() / "mc_eval.csv"
-        modelio.write_csv(path, ["run", "enob"],
-                          list(enumerate(summary.enobs)))
-        _write_manifest(cfg, "mc-eval", [path])
-        click.echo(f"median ENOB {summary.median_enob:.3f} bits over "
-                   f"{mc.runs} runs; wrote {path}")
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    cfg = ExperimentConfig.from_file(config_path)
+    p = _load_pipeline(cfg, pipeline_path, force)
+    mc = _pipe.McEvalSpec(
+        runs=runs if runs is not None else cfg.mc_runs,
+        sigma=sigma if sigma is not None else cfg.mc_sigma,
+        seed=split_seed(cfg.seed, "mc-eval"))
+    summary = _pipe.monte_carlo_eval(p, mc, _stimulus(cfg, p.enc))
+    path = cfg.out_dir() / "mc_eval.csv"
+    modelio.write_csv(path, ["run", "enob"],
+                      list(enumerate(summary.enobs)))
+    _write_manifest(cfg, "mc-eval", [path])
+    click.echo(f"median ENOB {summary.median_enob:.3f} bits over "
+               f"{mc.runs} runs; wrote {path}")
 
 
 @main.command("dse")
@@ -234,29 +225,26 @@ def cmd_mc_eval(config_path, pipeline_path, runs, sigma, force):
               help="cost table JSON (defaults to the config's table)")
 def cmd_dse(config_path, reso, table_path):
     """Rank all stage compositions by figure of merit and area."""
-    try:
-        cfg = _load_config(config_path)
-        if table_path is not None:
-            table = modelio.load_cost_table(table_path)
-        elif cfg.cost_table is not None:
-            table = cfg.cost_table
-        else:
-            raise ConfigError("cost_table: missing from config and no "
-                              "--table given")
-        ranked = _dse.optimize(reso, table)
-        path = cfg.out_dir() / "dse_ranked.csv"
-        modelio.write_csv(
-            path,
-            ["rank", "composition", "power_w", "rate_sps", "area_mm2",
-             "enob", "fom_j_per_conv"],
-            [[i, "-".join(map(str, r.composition)), r.power, r.rate, r.area,
-              r.enob, r.fom_w] for i, r in enumerate(ranked)])
-        _write_manifest(cfg, "dse", [path])
-        best = ranked[0]
-        click.echo(f"best composition {best.composition} "
-                   f"FoM {best.fom_w * 1e15:.2f} fJ/conv; wrote {path}")
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    cfg = ExperimentConfig.from_file(config_path)
+    if table_path is not None:
+        table = modelio.load_cost_table(table_path)
+    elif cfg.cost_table is not None:
+        table = cfg.cost_table
+    else:
+        raise ConfigError("cost_table: missing from config and no "
+                          "--table given")
+    ranked = _dse.optimize(reso, table)
+    path = cfg.out_dir() / "dse_ranked.csv"
+    modelio.write_csv(
+        path,
+        ["rank", "composition", "power_w", "rate_sps", "area_mm2",
+         "enob", "fom_j_per_conv"],
+        [[i, "-".join(map(str, r.composition)), r.power, r.rate, r.area,
+          r.enob, r.fom_w] for i, r in enumerate(ranked)])
+    _write_manifest(cfg, "dse", [path])
+    best = ranked[0]
+    click.echo(f"best composition {best.composition} "
+               f"FoM {best.fom_w * 1e15:.2f} fJ/conv; wrote {path}")
 
 
 @main.command("export")
@@ -267,22 +255,18 @@ def cmd_dse(config_path, reso, table_path):
 @click.option("--force", is_flag=True)
 def cmd_export(config_path, pipeline_path, mode, force):
     """Export the output spectrum of a pipeline conversion as CSV."""
-    try:
-        cfg = _load_config(config_path)
-        check = None if force else cfg.run_hash()
-        p = modelio.load_pipeline(pipeline_path, check_hash=check)
-        stim = _stimulus(cfg, p.enc)
-        codes = _pipe.convert(p, stim.samples, mode)
-        rec = (codes + 0.5) / (1 << p.reso)
-        res = _metrics.spectrum(rec, stim.f_s,
-                                signal_bin=round(stim.f_in * cfg.stimulus_n))
-        path = cfg.out_dir() / "spectrum.csv"
-        modelio.write_csv(path, ["freq", "power_db"],
-                          _metrics.spectrum_csv_rows(res))
-        _write_manifest(cfg, "export", [path])
-        click.echo(f"wrote {path}")
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    cfg = ExperimentConfig.from_file(config_path)
+    p = _load_pipeline(cfg, pipeline_path, force)
+    stim = _stimulus(cfg, p.enc)
+    codes = _pipe.convert(p, stim.samples, mode)
+    rec = (codes + 0.5) / (1 << p.reso)
+    res = _metrics.spectrum(rec, stim.f_s,
+                            signal_bin=round(stim.f_in * cfg.stimulus_n))
+    path = cfg.out_dir() / "spectrum.csv"
+    modelio.write_csv(path, ["freq", "power_db"],
+                      _metrics.spectrum_csv_rows(res))
+    _write_manifest(cfg, "export", [path])
+    click.echo(f"wrote {path}")
 
 
 if __name__ == "__main__":

@@ -33,10 +33,6 @@ class CoherenceError(NnadcError):
     """The test tone does not fall on an FFT bin."""
 
 
-class ContractViolation(NnadcError):
-    """A caller passed inconsistent arguments (e.g. wrong stage level)."""
-
-
 class TrainingError(NnadcError):
     """Training diverged; carries seed and iteration for reproduction."""
 

@@ -137,8 +137,12 @@ def save_stage(stage: TrainedStage, path, run_hash: str = "",
     Path(path).write_text(json.dumps(data, indent=1))
 
 
-def load_stage(path) -> TrainedStage:
+def load_stage(path, check_hash: str | None = None) -> TrainedStage:
+    """Stage model file, refused unless built from config ``check_hash``."""
     data = json.loads(Path(path).read_text())
+    if check_hash is not None and data.get("config_hash", "") != check_hash:
+        raise ModelRefError(f"stage model {path} was built from a "
+                            "different configuration")
     _check_header(data, "stage", path)
     residue = data["residue"]
     return TrainedStage(
@@ -154,11 +158,6 @@ def load_stage(path) -> TrainedStage:
                         if data["residue_layers"] else None),
         train_metrics=data.get("metrics", {}),
     )
-
-
-def stage_hash(path) -> str:
-    data = json.loads(Path(path).read_text())
-    return data.get("config_hash", "")
 
 
 def save_pipeline(path, stage_paths, enc: EncodingScheme,
@@ -184,19 +183,21 @@ def load_pipeline(path, check_hash: str | None = None) -> PipelineConfig:
             ref_path = path.parent / ref_path
         if not ref_path.exists():
             raise ModelRefError(f"missing stage model file {ref_path}")
-        if check_hash is not None and stage_hash(ref_path) != check_hash:
-            raise ModelRefError(f"stage model {ref_path} was built from a "
-                                "different configuration")
-        stages.append(load_stage(ref_path))
+        stages.append(load_stage(ref_path, check_hash))
     return PipelineConfig(stages=tuple(stages),
                           enc=EncodingScheme(**data["encoding"]))
 
 
 def load_cost_table(path) -> CostTable:
-    data = json.loads(Path(path).read_text())
-    if "cost_table" in data:
-        data = data["cost_table"]
-    return CostTable.from_dict(data)
+    """A cost table file, or the ``cost_table`` block of a config file."""
+    try:
+        data = json.loads(Path(path).read_text())
+        if "cost_table" in data:
+            data = data["cost_table"]
+        return CostTable.from_dict(data)
+    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cost table {path}: {type(exc).__name__}: "
+                          f"{exc}") from exc
 
 
 def write_csv(path, header, rows) -> None:

@@ -19,7 +19,6 @@ from .crossbar import PerturbationSpec, perturb_resistances, vmm
 from .dse import MAX_RESO
 from .errors import ConfigError, NnadcError, ShapeError
 from .signal_core import (
-    DigitalCode,
     EncodingScheme,
     SineStimulus,
     StageSpec,
@@ -191,24 +190,12 @@ def convert(p: PipelineConfig, v, mode: str = "behavioral") -> np.ndarray:
     return codes
 
 
-def simulate_pipeline(p: PipelineConfig, v: float,
-                      mode: str = "behavioral") -> DigitalCode:
-    """Full conversion of one input voltage to a digital code."""
-    value = int(convert(p, v, mode)[0])
-    return DigitalCode.from_value(value, p.reso)
-
-
 def reconstruct(code, enc: EncodingScheme, width: int | None = None):
-    """Midpoint reconstruction of a code back to a voltage."""
-    if isinstance(code, DigitalCode):
-        value, width = code.value, code.width
-    else:
-        value = code
-        if width is None:
-            raise ConfigError("width required for integer codes")
-    t = (np.asarray(value, dtype=float) + 0.5) / (1 << width)
-    out = enc.denormalize(t)
-    return float(out) if np.isscalar(value) or isinstance(value, int) else out
+    """Midpoint reconstruction of integer codes ``width`` bits wide."""
+    if width is None:
+        raise ConfigError("width required for integer codes")
+    out = enc.denormalize((np.asarray(code, dtype=float) + 0.5) / (1 << width))
+    return float(out) if np.isscalar(code) else out
 
 
 def perturbed_stage(stage, sigma: float, rng: np.random.Generator):
@@ -264,12 +251,3 @@ def monte_carlo_eval(p: PipelineConfig, mc: McEvalSpec,
         enobs.append(enob)
     return McSummary(median_enob=float(statistics.median(enobs)),
                      enobs=tuple(enobs))
-
-
-def pipeline_enob(p: PipelineConfig, stimulus: SineStimulus,
-                  mode: str = "behavioral") -> float:
-    """ENOB of the pipeline on a coherent sine stimulus."""
-    codes = convert(p, stimulus.samples, mode)
-    _, enob = _metrics.enob_of_codes(codes, p.reso, stimulus.f_s,
-                                     stimulus.f_in)
-    return enob

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 
 # Default (hidden-layer, residue-hidden) sizes per stage resolution.
 _DEFAULT_TOPOLOGY = {1: (3, 5), 2: (4, 7), 3: (6, 9)}
@@ -165,15 +165,6 @@ def residue_arithmetic(v, level, spec: StageSpec):
     return (arr - lvl * spec.vdd / spec.n_levels) * spec.n_levels
 
 
-def ideal_residue(v, level, spec: StageSpec):
-    """Residue of an ideal stage; ``level`` must match the ideal level."""
-    expected = ideal_stage_level(v, spec)
-    if np.any(np.asarray(level) != np.asarray(expected)):
-        raise ContractViolation("level does not match ideal_stage_level(v)")
-    r = residue_arithmetic(v, level, spec)
-    return float(r) if np.isscalar(v) else r
-
-
 def ideal_adc(v, m: int, enc: EncodingScheme):
     """End-to-end ideal conversion to an M-bit code."""
     if m < 1:
@@ -188,26 +179,8 @@ def ideal_adc(v, m: int, enc: EncodingScheme):
     return value
 
 
-def smooth_encode(level: int, spec: StageSpec) -> tuple:
-    """Smooth codeword for a stage level."""
-    codes = spec.codes()
-    if not 0 <= level < spec.n_levels:
-        raise DomainError(f"level {level} out of range for "
-                          f"{spec.resolution_bits}-bit stage")
-    return codes[level]
-
-
-def smooth_decode(bits: Sequence[int], spec: StageSpec) -> int:
-    """Nearest-codeword (Hamming) decode; ties go to the lower level."""
-    codes = spec.codes()
-    if len(bits) != spec.smooth_width:
-        raise DomainError("bit width does not match the stage's smooth width")
-    dists = [sum(b != c for b, c in zip(bits, code)) for code in codes]
-    return int(np.argmin(dists))
-
-
 def smooth_decode_array(bits: np.ndarray, spec: StageSpec) -> np.ndarray:
-    """Vectorized :func:`smooth_decode` for a (batch, S) bit array.
+    """Nearest-codeword decode of a (batch, S) bit array to stage levels.
 
     Soft bits decode to the level at the least L1 distance.  Each
     level's distance is summed column by column, left to right, which is

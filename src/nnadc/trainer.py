@@ -34,13 +34,17 @@ from .signal_core import (
     smooth_decode_array,
     stage_level_targets,
 )
-from .vtc import VtcFamily, vtc_eval
+from .vtc import VtcFamily, VtcParams, vtc_eval
 
 # Comparator training surrogate: logistic of this width (fraction of vdd).
 COMPARATOR_WIDTH_RATIO = 0.01
 # The surrogate anneals from this width down to COMPARATOR_WIDTH_RATIO so
 # early gradients are not killed by comparator saturation.
 COMPARATOR_WIDTH_START = 0.2
+# Adam moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -50,9 +54,6 @@ class TrainConfig:
     projection_period: int = 256
     lr_start: float = 1e-3
     lr_end: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     redraw_vtc: bool = True
     refine_passes: int = 4  # discrete post-training refinement sweeps
@@ -92,41 +93,54 @@ class MlpParams:
         return self.w1.shape[1]
 
 
-def _hidden_arrays(params: MlpParams, family: VtcFamily, mode: str):
-    """Per-neuron (v_m, s, v_high, v_low) rows for the forward pass."""
-    if mode == "train":
-        if np.any(params.vtc_assignment >= len(family)):
-            raise ConfigError("VTC assignment index outside the family")
-        vm, s, vh, vl = family.as_arrays()
-        a = params.vtc_assignment
-        return vm[a], s[a], vh[a], vl[a]
-    nom = family.nominal
-    h = params.hidden
-    return (np.full(h, nom.v_m), np.full(h, nom.s),
-            np.full(h, nom.v_high), np.full(h, nom.v_low))
+def _check_batch(params: MlpParams, x: np.ndarray) -> None:
+    if x.ndim != 2 or x.shape[1] != params.w1.shape[0]:
+        raise ShapeError("input batch does not match the network fan-in")
+
+
+def _hidden(nominal: VtcParams, x: np.ndarray, w1: np.ndarray,
+            b1) -> np.ndarray:
+    """Nominal-VTC hidden layer: one column per column of ``w1``."""
+    pre1 = x @ w1 + b1
+    return vtc_eval(nominal, pre1, out=pre1)
+
+
+def _decision(kind: str, nominal: VtcParams, vdd: float):
+    """Inference output as a function of the output pre-activations.
+
+    Sub-ADC outputs are hard comparators at vdd/2 that drive the nominal
+    rail; residue outputs are the pre-activations themselves.
+    """
+    if kind == "subadc":
+        return lambda pre2: nominal.v_high * (pre2 > vdd / 2.0).astype(float)
+    if kind == "residue":
+        return lambda pre2: pre2
+    raise ConfigError(f"unknown network kind {kind!r}")
 
 
 def _forward(params: MlpParams, x: np.ndarray, family: VtcFamily,
-             mode: str, kind: str, vdd: float,
+             kind: str, vdd: float,
              surrogate_ratio: float = COMPARATOR_WIDTH_RATIO):
-    """Forward pass with intermediate cache for backprop."""
-    if x.ndim != 2 or x.shape[1] != params.w1.shape[0]:
-        raise ShapeError("input batch does not match the network fan-in")
-    vm, s, vh, vl = _hidden_arrays(params, family, mode)
+    """Train-mode forward pass with intermediate cache for backprop.
+
+    Each hidden neuron uses its assigned family member, and the sub-ADC
+    outputs pass through a steep logistic comparator surrogate.
+    """
+    _check_batch(params, x)
+    if np.any(params.vtc_assignment >= len(family)):
+        raise ConfigError("VTC assignment index outside the family")
+    a = params.vtc_assignment
+    vm, s, vh, vl = (arr[a] for arr in family.as_arrays())
     rail = family.nominal.v_high
     pre1 = x @ params.w1 + params.b1
     sig_h = 1.0 / (1.0 + np.exp(-(vm - pre1) / s))
     h = vl + (vh - vl) * sig_h
     pre2 = h @ params.w2 + params.b2
     if kind == "subadc":
-        if mode == "infer":
-            out = rail * (pre2 > vdd / 2.0).astype(float)
-            dout = None
-        else:
-            ws = surrogate_ratio * vdd
-            sig_o = 1.0 / (1.0 + np.exp(-(pre2 - vdd / 2.0) / ws))
-            out = rail * sig_o
-            dout = rail * sig_o * (1.0 - sig_o) / ws
+        ws = surrogate_ratio * vdd
+        sig_o = 1.0 / (1.0 + np.exp(-(pre2 - vdd / 2.0) / ws))
+        out = rail * sig_o
+        dout = rail * sig_o * (1.0 - sig_o) / ws
     elif kind == "residue":
         out = pre2
         dout = np.ones_like(pre2)
@@ -142,10 +156,17 @@ def forward_stage(params: MlpParams, inputs: np.ndarray, family: VtcFamily,
 
     ``mode="train"`` uses the per-neuron VTC assignment and, for sub-ADC
     outputs, a steep logistic comparator surrogate; ``mode="infer"`` uses
-    the nominal VTC and hard comparators at vdd/2.
+    the nominal VTC and hard comparators at vdd/2, as refinement does.
     """
-    out, _ = _forward(params, np.atleast_2d(inputs), family, mode, kind, vdd)
-    return out
+    x = np.atleast_2d(inputs)
+    if mode == "train":
+        return _forward(params, x, family, kind, vdd)[0]
+    if mode != "infer":
+        raise ConfigError(f"unknown forward mode {mode!r}")
+    _check_batch(params, x)
+    decide = _decision(kind, family.nominal, vdd)
+    h = _hidden(family.nominal, x, params.w1, params.b1)
+    return decide(h @ params.w2 + params.b2)
 
 
 def mse_loss(outputs: np.ndarray, targets: np.ndarray) -> float:
@@ -159,8 +180,7 @@ def backprop(params: MlpParams, x: np.ndarray, targets: np.ndarray,
              family: VtcFamily, kind: str, vdd: float,
              surrogate_ratio: float = COMPARATOR_WIDTH_RATIO):
     """Loss and analytic gradients for one train-mode batch."""
-    out, cache = _forward(params, x, family, "train", kind, vdd,
-                          surrogate_ratio)
+    out, cache = _forward(params, x, family, kind, vdd, surrogate_ratio)
     xb, pre1, sig_h, h, dout, (vm, s, vh, vl) = cache
     n = x.shape[0]
     loss = mse_loss(out, targets)
@@ -191,14 +211,14 @@ def adam_step(params: MlpParams, grads: dict, state: AdamState,
             state.v[k] = np.zeros_like(g)
     state.t += 1
     lr = config.lr_at(iteration)
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for k, g in grads.items():
         state.m[k] = b1 * state.m[k] + (1 - b1) * g
         state.v[k] = b2 * state.v[k] + (1 - b2) * g * g
         m_hat = state.m[k] / (1 - b1 ** state.t)
         v_hat = state.v[k] / (1 - b2 ** state.t)
         arr = getattr(params, k)
-        arr -= lr * m_hat / (np.sqrt(v_hat) + config.eps)
+        arr -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def clip_params(params: MlpParams, grid: DeviceGrid,
@@ -250,17 +270,8 @@ def refine_discrete(params: MlpParams, grid: DeviceGrid, bias_drive: float,
     lev1 = grid.weight_levels(f1)
     lev2 = grid.weight_levels(f2)
     nom = family.nominal
-
-    def hidden_of(w1, b1):
-        pre1 = x @ w1 + b1
-        return vtc_eval(nom, pre1, out=pre1)
-
-    def out_of(pre2):
-        if kind == "subadc":
-            return nom.v_high * (pre2 > vdd / 2.0).astype(float)
-        return pre2
-
-    h = hidden_of(p.w1, p.b1)
+    out_of = _decision(kind, nom, vdd)
+    h = _hidden(nom, x, p.w1, p.b1)
     pre2 = h @ p.w2 + p.b2
     best = score(out_of(pre2))
     n_in = p.w1.shape[0]
@@ -290,8 +301,7 @@ def refine_discrete(params: MlpParams, grid: DeviceGrid, bias_drive: float,
             for combo in combos:
                 if np.array_equal(combo, cur):
                     continue
-                pre1 = x @ combo[:-1] + combo[-1] * bias_drive
-                hj = vtc_eval(nom, pre1, out=pre1)
+                hj = _hidden(nom, x, combo[:-1], combo[-1] * bias_drive)
                 s = score(out_of(base + hj[:, None] * p.w2[j]))
                 if s < best:
                     best, cur, improved = s, combo.copy(), True
@@ -347,12 +357,6 @@ def _bump_levels(params: MlpParams, grid: DeviceGrid, bias_drive: float,
     return p
 
 
-def _params_score(params: MlpParams, x: np.ndarray, out_score,
-                  family: VtcFamily, kind: str, vdd: float) -> float:
-    """``out_score`` of the network's inference-mode output for ``x``."""
-    return out_score(forward_stage(params, x, family, "infer", kind, vdd))
-
-
 def _refine_with_hops(candidates, grid: DeviceGrid, bias_drive: float,
                       family: VtcFamily, kind: str, vdd: float,
                       x: np.ndarray, out_score, passes: int, hops: int,
@@ -364,7 +368,7 @@ def _refine_with_hops(candidates, grid: DeviceGrid, bias_drive: float,
     re-refinement escape such basins cheaply.
     """
     def param_score(p):
-        return _params_score(p, x, out_score, family, kind, vdd)
+        return out_score(forward_stage(p, x, family, "infer", kind, vdd))
 
     best = min((refine_discrete(c, grid, bias_drive, family, kind, vdd, x,
                                 out_score, passes=passes)
@@ -474,8 +478,8 @@ def _train_net(kind: str, make_batch, f_in: int, hidden: int, f_out: int,
         clip_params(params, grid, bias_drive)
         if (it + 1) % config.projection_period == 0 or it + 1 == config.total_iters:
             projected = project(params, grid, bias_drive)
-            score = _params_score(projected, eval_x, out_score, family,
-                                  kind, vdd)
+            score = out_score(forward_stage(projected, eval_x, family,
+                                            "infer", kind, vdd))
             if score < best_score:
                 best_score = score
                 best = projected.copy()

@@ -83,7 +83,8 @@ class TestTrainStage:
     @pytest.mark.parametrize("extra, message", [
         ({"mc_run": 5}, "unknown config key(s): mc_run"),
         ({"grid": {"g_off": 2e-5}}, "grid: DeviceError"),
-        ({"cost_table": {"1": {"power": 1}}}, "cost_table: KeyError")])
+        ({"cost_table": {"1": {"power": 1}}}, "cost_table: KeyError"),
+        ({"train": {"beta1": 0.5}}, "train: TypeError")])
     def test_bad_key_or_block_exit_code(self, runner, workdir, extra,
                                         message):
         cfg = {**json.loads(workdir["cfg"].read_text()), **extra}
@@ -186,6 +187,21 @@ class TestDse:
         res = runner.invoke(main, ["dse", "--config", str(cfg),
                                    "--reso", "4"])
         assert res.exit_code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("table, message", [
+        (None, "FileNotFoundError"),
+        ("{broken", "JSONDecodeError"),
+        (json.dumps({"1": {"power": 2e-3, "area": 1e-3}}), "KeyError")],
+        ids=["missing", "bad-json", "no-rate"])
+    def test_bad_table_file_exit_code(self, runner, workdir, table, message):
+        path = workdir["tmp"] / "table.json"
+        if table is not None:
+            path.write_text(table)
+        res = runner.invoke(main, ["dse", "--config", str(workdir["cfg"]),
+                                   "--reso", "4", "--table", str(path)])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert f"error: cost table {path}: {message}" in res.output
 
 
 class TestSweep:

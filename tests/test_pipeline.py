@@ -5,6 +5,7 @@ import pytest
 
 from nnadc.crossbar import PerturbationSpec, perturb_resistances
 from nnadc.errors import ConfigError
+from nnadc.metrics import enob_of_codes
 from nnadc.pipeline import (
     IdealStage,
     McEvalSpec,
@@ -13,13 +14,10 @@ from nnadc.pipeline import (
     monte_carlo_eval,
     perturbed_pipeline,
     perturbed_stage,
-    pipeline_enob,
     reconstruct,
-    simulate_pipeline,
     simulate_stage,
 )
 from nnadc.signal_core import (
-    DigitalCode,
     EncodingScheme,
     StageSpec,
     ideal_adc,
@@ -28,6 +26,11 @@ from nnadc.signal_core import (
 
 VDD = 1.0
 ENC = EncodingScheme()
+
+
+def sine_enob(p, stim, mode):
+    codes = convert(p, stim.samples, mode)
+    return enob_of_codes(codes, p.reso, stim.f_s, stim.f_in)[1]
 
 
 def ideal_pipeline(composition, enc=ENC, vdd=VDD):
@@ -40,9 +43,7 @@ def ideal_pipeline(composition, enc=ENC, vdd=VDD):
 class TestGoldenVector:
     def test_four_one_bit_stages(self):
         p = ideal_pipeline((1, 1, 1, 1))
-        code = simulate_pipeline(p, 0.7, mode="ideal")
-        assert str(code) == "1011"
-        assert code.value == 0b1011
+        assert convert(p, 0.7, mode="ideal").tolist() == [0b1011]
 
     def test_intermediate_residues(self):
         residues = []
@@ -103,8 +104,7 @@ class TestPipelineConfig:
 
 class TestReconstruct:
     def test_midpoint_linear(self):
-        code = DigitalCode.from_value(0b1011, 4)
-        assert reconstruct(code, ENC) == pytest.approx(11.5 / 16)
+        assert reconstruct(0b1011, ENC, width=4) == pytest.approx(11.5 / 16)
 
     def test_integer_needs_width(self):
         with pytest.raises(ConfigError):
@@ -114,9 +114,9 @@ class TestReconstruct:
     def test_round_trip_within_lsb(self):
         p = ideal_pipeline((2, 2))
         rng = np.random.default_rng(1)
-        for v in rng.uniform(0, 1, size=50):
-            code = simulate_pipeline(p, v, mode="ideal")
-            assert abs(reconstruct(code, ENC) - v) <= 1.0 / 16
+        v = rng.uniform(0, 1, size=50)
+        rec = reconstruct(convert(p, v, mode="ideal"), ENC, width=4)
+        assert np.all(np.abs(rec - v) <= 1.0 / 16)
 
 
 class TestIdealEnob:
@@ -124,8 +124,7 @@ class TestIdealEnob:
         p = ideal_pipeline((1,) * 8)
         lsb = 1.0 / 256
         stim = sine_stimulus(4096, 127, 0.5 - lsb / 2, ENC, VDD)
-        assert pipeline_enob(p, stim, mode="ideal") == \
-            pytest.approx(8.012, abs=0.01)
+        assert sine_enob(p, stim, "ideal") == pytest.approx(8.012, abs=0.01)
 
 
 @pytest.fixture()
@@ -184,7 +183,7 @@ class TestBehavioral:
         stim = sine_stimulus(256, 17, 0.49, ENC, VDD)
         mc = McEvalSpec(runs=3, sigma=0.0, seed=0)
         summary = monte_carlo_eval(p, mc, stim)
-        ref = pipeline_enob(p, stim, mode="behavioral")
+        ref = sine_enob(p, stim, "behavioral")
         for e in summary.enobs:
             assert e == ref or (np.isnan(e) and np.isnan(ref))
 

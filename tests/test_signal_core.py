@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nnadc.errors import (CoherenceError, ConfigError, ContractViolation,
-                          DomainError, ShapeError)
+from nnadc.errors import CoherenceError, ConfigError, DomainError, ShapeError
 from nnadc.metrics import sndr_enob
 from nnadc.signal_core import (
     DigitalCode,
@@ -14,15 +13,13 @@ from nnadc.signal_core import (
     LOG_THRESHOLD,
     StageSpec,
     ideal_adc,
-    ideal_residue,
     ideal_stage_level,
     log_stage_level,
     log_stage_oracle,
     log_stage_residue,
+    residue_arithmetic,
     sine_stimulus,
-    smooth_decode,
     smooth_decode_array,
-    smooth_encode,
 )
 
 
@@ -88,22 +85,17 @@ class TestIdealStageLevel:
 class TestIdealResidue:
     def test_golden_values(self):
         spec = StageSpec(resolution_bits=1)
-        assert ideal_residue(0.7, 1, spec) == pytest.approx(0.4, abs=1e-12)
-        assert ideal_residue(0.8, 1, spec) == pytest.approx(0.6, abs=1e-12)
-        assert ideal_residue(0.0, 0, spec) == 0.0
+        got = [residue_arithmetic(v, lvl, spec)
+               for v, lvl in ((0.7, 1), (0.8, 1), (0.0, 0))]
+        assert got == pytest.approx([0.4, 0.6, 0.0], abs=1e-12)
 
     def test_range(self):
         rng = np.random.default_rng(0)
         for n in (1, 2, 3):
             spec = StageSpec(resolution_bits=n)
             v = rng.uniform(0.0, np.nextafter(1.0, 0.0), size=10_000)
-            r = ideal_residue(v, ideal_stage_level(v, spec), spec)
+            r = residue_arithmetic(v, ideal_stage_level(v, spec), spec)
             assert np.all(r >= 0.0) and np.all(r < 1.0)
-
-    def test_rejects_mismatched_level(self):
-        spec = StageSpec(resolution_bits=1)
-        with pytest.raises(ContractViolation):
-            ideal_residue(0.7, 0, spec)
 
 
 class TestIdealAdc:
@@ -122,7 +114,7 @@ class TestIdealAdc:
         for _ in range(4):
             lvl = ideal_stage_level(r, spec)
             codes = codes * 2 + lvl
-            r = np.clip(ideal_residue(r, lvl, spec), 0.0,
+            r = np.clip(residue_arithmetic(r, lvl, spec), 0.0,
                         np.nextafter(1.0, 0.0))
         assert np.array_equal(codes, ideal_adc(v, 4, enc))
 
@@ -170,36 +162,21 @@ class TestDigitalCode:
 
 class TestSmoothCodes:
     def test_known_words(self):
-        assert smooth_encode(1, StageSpec(resolution_bits=1)) == (1, 1)
-        assert smooth_encode(2, StageSpec(resolution_bits=2)) == (0, 1, 1)
-        assert smooth_encode(0, StageSpec(resolution_bits=3)) == (0, 0, 0, 0)
+        assert StageSpec(resolution_bits=1).codes()[1] == (1, 1)
+        assert StageSpec(resolution_bits=2).codes()[2] == (0, 1, 1)
+        assert StageSpec(resolution_bits=3).codes()[0] == (0, 0, 0, 0)
 
     def test_round_trip_all_levels(self):
         for n in (1, 2, 3):
             spec = StageSpec(resolution_bits=n)
-            for level in range(spec.n_levels):
-                assert smooth_decode(smooth_encode(level, spec), spec) == level
+            words = np.array(spec.codes(), dtype=float)
+            np.testing.assert_array_equal(smooth_decode_array(words, spec),
+                                          np.arange(spec.n_levels))
 
     def test_tie_breaks_to_lower_level(self):
         spec = StageSpec(resolution_bits=2)
         # 010 is Hamming distance 1 from both 000 (level 0) and 011 (level 2)
-        assert smooth_decode((0, 1, 0), spec) == 0
-
-    def test_level_out_of_range(self):
-        with pytest.raises(DomainError):
-            smooth_encode(4, StageSpec(resolution_bits=2))
-
-    def test_width_mismatch(self):
-        with pytest.raises(DomainError):
-            smooth_decode((0, 1), StageSpec(resolution_bits=2))
-
-    def test_array_decode_matches_scalar(self):
-        spec = StageSpec(resolution_bits=3)
-        rng = np.random.default_rng(2)
-        bits = rng.integers(0, 2, size=(64, spec.smooth_width)).astype(float)
-        got = smooth_decode_array(bits, spec)
-        want = [smooth_decode(tuple(row.astype(int)), spec) for row in bits]
-        assert np.array_equal(got, want)
+        assert smooth_decode_array(np.array([[0.0, 1.0, 0.0]]), spec)[0] == 0
 
     def test_array_decode_rejects_bad_shapes(self):
         spec = StageSpec(resolution_bits=2)

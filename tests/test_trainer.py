@@ -4,6 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nnadc import trainer as trainer_module
 from nnadc.crossbar import DeviceGrid, quantize_weight, vmm
@@ -167,6 +170,39 @@ class TestForward:
         with pytest.raises(ConfigError):
             forward_stage(params, np.zeros((1, 1)), FAMILY, "infer", "huh",
                           VDD)
+
+    def test_unknown_mode(self):
+        params = random_params(1, 3, 1, np.random.default_rng(5))
+        with pytest.raises(ConfigError, match="forward mode"):
+            forward_stage(params, np.zeros((1, 1)), FAMILY, "spice",
+                          "residue", VDD)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_infer_is_the_refinement_forward(self, data):
+        """Snapshot scoring, hops and hard bits see what refinement sees:
+        the nominal ``vtc_eval`` hidden layer, bit for bit."""
+        kind = data.draw(st.sampled_from(("subadc", "residue")))
+        f_in, hidden, f_out, n = (data.draw(st.integers(1, hi))
+                                  for hi in (4, 7, 3, 32))
+
+        def array(shape, bound):
+            return data.draw(hnp.arrays(np.float64, shape, elements=st.floats(
+                -bound, bound, allow_subnormal=False)))
+
+        bd = FAMILY.nominal.v_high
+        params = MlpParams(
+            w1=array((f_in, hidden), 1.0), b1=array((hidden,), bd),
+            w2=array((hidden, f_out), 1.0), b2=array((f_out,), bd),
+            vtc_assignment=np.zeros(hidden, dtype=int))
+        x = array((n, f_in), VDD)
+        nom = FAMILY.nominal
+        pre2 = vtc_eval(nom, x @ params.w1 + params.b1) @ params.w2 \
+            + params.b2
+        want = (nom.v_high * (pre2 > VDD / 2.0).astype(float)
+                if kind == "subadc" else pre2)
+        got = forward_stage(params, x, FAMILY, "infer", kind, VDD)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_mse_loss_shape(self):
         with pytest.raises(ShapeError):
