@@ -10,9 +10,12 @@ Exit codes:
 - 0: success;
 - 2: configuration error (``ConfigError``), including an unknown key, a
   config field of the wrong type, a bad nested block, a ``stimulus_n``
-  that is not a power of two and an unreadable ``dse --table`` file;
+  that is not a power of two, an unreadable ``dse --table`` file and a
+  model file of another schema version or kind;
 - 3: training divergence (``TrainingError``);
-- 4: model-reference error (``ModelRefError``);
+- 4: model-file error (``ModelRefError``): a stage or pipeline file that
+  is missing, is not JSON or lacks a field, or a stage built from another
+  config;
 - 5: any other invalid input or model data (every other ``NnadcError``,
   e.g. a ``CoherenceError`` for a stimulus bin that shares a factor with
   ``stimulus_n``).

@@ -114,33 +114,22 @@ def weights_from_conductances(layer: CrossbarLayer) -> np.ndarray:
     return (layer.g_u - layer.g_l) / sums
 
 
-def vmm(layer: CrossbarLayer, v_in: np.ndarray, v_bias: float | None = None,
-        out: np.ndarray | None = None):
+def vmm(layer: CrossbarLayer, v_in: np.ndarray,
+        out: np.ndarray | None = None) -> np.ndarray:
     """Analog vector-matrix multiply through the crossbar.
 
-    ``v_in`` carries the signal rows (rows-1 entries, or a batch of them);
-    the bias row is driven at ``v_bias`` (defaults to the layer's own
-    bias voltage).  ``out``, if given, receives the result (cols entries,
-    or a batch of them) and is returned.
+    ``v_in`` is a batch of signal-row voltages, one row of rows-1 entries
+    per sample; the bias row is driven at the layer's own bias voltage.
+    ``out``, if given, receives the batch-by-cols result and is returned.
     """
     w = layer.weights
     v = np.asarray(v_in, dtype=float)
-    if v.ndim not in (1, 2):
-        raise ShapeError(f"expected 1-D or 2-D input voltages, got "
-                         f"{v.ndim}-D")
-    batched = v.ndim == 2
-    if not batched:
-        v = v[None, :]
-        if out is not None:
-            out = out[None, :]
-    if v.shape[1] != layer.rows - 1:
-        raise ShapeError(f"expected {layer.rows - 1} input voltages, "
-                         f"got {v.shape[1]}")
-    if v_bias is None:
-        v_bias = layer.bias_voltage
+    if v.ndim != 2 or v.shape[1] != layer.rows - 1:
+        raise ShapeError(f"expected a batch of {layer.rows - 1} input "
+                         f"voltages, got shape {v.shape}")
     out = np.matmul(v, w[:-1], out=out)
-    out += v_bias * w[-1]
-    return out if batched else out[0]
+    out += layer.bias_voltage * w[-1]
+    return out
 
 
 def quantize_weight(w, grid: DeviceGrid, fan_in: int):

@@ -26,7 +26,8 @@ class PrecisionError(NnadcError):
 
 
 class ModelRefError(NnadcError):
-    """A referenced model file is missing or built from another config."""
+    """A model file is missing, unreadable or malformed, or built from
+    another config."""
 
 
 class CoherenceError(NnadcError):

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoherenceError, ShapeError
-from .signal_core import TONE_BIN, TONE_N, EncodingScheme, sine_stimulus
+from .signal_core import (EVAL_N, TONE_BIN, TONE_N, EncodingScheme,
+                          sine_stimulus)
 
 ENOB_OFFSET_DB = 1.76
 ENOB_SLOPE_DB = 6.02
@@ -69,9 +70,9 @@ def sndr_enob(samples: np.ndarray, f_s: float, f_in: float):
     return float(sndr), float((sndr - ENOB_OFFSET_DB) / ENOB_SLOPE_DB)
 
 
-def residue_mse(predicted, ideal, vdd: float, n_points: int = 2048) -> float:
-    """Mean squared difference over a uniform grid on [0, vdd)."""
-    grid = np.arange(n_points) / n_points * vdd
+def residue_mse(predicted, ideal, vdd: float) -> float:
+    """Mean squared difference over the ``EVAL_N``-point grid on [0, vdd)."""
+    grid = np.arange(EVAL_N) / EVAL_N * vdd
     p = np.asarray(predicted(grid), dtype=float)
     q = np.asarray(ideal(grid), dtype=float)
     if p.shape != grid.shape or q.shape != grid.shape:

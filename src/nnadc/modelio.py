@@ -34,13 +34,25 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
 
 
-def _check_header(data: dict, kind: str, path):
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"{path}: unsupported schema version "
-                          f"{data.get('schema_version')!r}")
-    if data.get("kind") != kind:
-        raise ConfigError(f"{path}: expected a {kind} file, "
-                          f"got {data.get('kind')!r}")
+def _read_model(path, kind: str, build):
+    """``build(data)`` of a ``kind`` model file's JSON, header checked.
+
+    A wrong schema version or kind is a ``ConfigError``.  A file that
+    cannot be read, is not JSON or lacks a field or has one of the wrong
+    type is a ``ModelRefError`` that names the path.
+    """
+    try:
+        data = json.loads(Path(path).read_text())
+        if data.get("schema_version") != SCHEMA_VERSION:
+            raise ConfigError(f"{path}: unsupported schema version "
+                              f"{data.get('schema_version')!r}")
+        if data.get("kind") != kind:
+            raise ConfigError(f"{path}: expected a {kind} file, "
+                              f"got {data.get('kind')!r}")
+        return build(data)
+    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ModelRefError(f"{kind} model file {path}: "
+                            f"{type(exc).__name__}: {exc}") from exc
 
 
 def _floats_to_text(arr: np.ndarray):
@@ -52,11 +64,20 @@ def _text_to_floats(rows) -> np.ndarray:
 
 
 def _spec_dict(spec: StageSpec) -> dict:
-    return {"resolution_bits": spec.resolution_bits,
-            "smooth_width": spec.smooth_width,
-            "subadc_hidden": spec.subadc_hidden,
-            "residue_hidden": spec.residue_hidden,
-            "vdd": spec.vdd}
+    d = {"resolution_bits": spec.resolution_bits,
+         "smooth_width": spec.smooth_width,
+         "subadc_hidden": spec.subadc_hidden,
+         "residue_hidden": spec.residue_hidden,
+         "vdd": spec.vdd}
+    if spec.code_table:
+        d["code_table"] = [list(code) for code in spec.code_table]
+    return d
+
+
+def _spec_from_dict(d: dict) -> StageSpec:
+    # tuples keep the frozen spec hashable
+    table = tuple(tuple(code) for code in d.get("code_table", ()))
+    return StageSpec(**{**d, "code_table": table})
 
 
 def _enc_dict(enc: EncodingScheme) -> dict:
@@ -139,25 +160,27 @@ def save_stage(stage: TrainedStage, path, run_hash: str = "",
 
 def load_stage(path, check_hash: str | None = None) -> TrainedStage:
     """Stage model file, refused unless built from config ``check_hash``."""
-    data = json.loads(Path(path).read_text())
-    if check_hash is not None and data.get("config_hash", "") != check_hash:
-        raise ModelRefError(f"stage model {path} was built from a "
-                            "different configuration")
-    _check_header(data, "stage", path)
-    residue = data["residue"]
-    return TrainedStage(
-        spec=StageSpec(**data["spec"]),
-        enc=EncodingScheme(**data["encoding"]),
-        family=_family_from_dict(data["family"]),
-        grid=DeviceGrid(**data["grid"]),
-        bias_drive=data["bias_drive"],
-        subadc=_params_from_dict(data["subadc"]),
-        subadc_layers=tuple(_layer_from_dict(l) for l in data["subadc_layers"]),
-        residue=_params_from_dict(residue) if residue else None,
-        residue_layers=(tuple(_layer_from_dict(l) for l in data["residue_layers"])
-                        if data["residue_layers"] else None),
-        train_metrics=data.get("metrics", {}),
-    )
+    def build(data):
+        if check_hash not in (None, data.get("config_hash", "")):
+            raise ModelRefError(f"stage model {path} was built from a "
+                                "different configuration")
+        residue = data["residue"]
+        return TrainedStage(
+            spec=_spec_from_dict(data["spec"]),
+            enc=EncodingScheme(**data["encoding"]),
+            family=_family_from_dict(data["family"]),
+            grid=DeviceGrid(**data["grid"]),
+            bias_drive=data["bias_drive"],
+            subadc=_params_from_dict(data["subadc"]),
+            subadc_layers=tuple(_layer_from_dict(l)
+                                for l in data["subadc_layers"]),
+            residue=_params_from_dict(residue) if residue else None,
+            residue_layers=(tuple(_layer_from_dict(l)
+                                  for l in data["residue_layers"])
+                            if data["residue_layers"] else None),
+            train_metrics=data.get("metrics", {}),
+        )
+    return _read_model(path, "stage", build)
 
 
 def save_pipeline(path, stage_paths, enc: EncodingScheme,
@@ -174,18 +197,14 @@ def save_pipeline(path, stage_paths, enc: EncodingScheme,
 
 def load_pipeline(path, check_hash: str | None = None) -> PipelineConfig:
     path = Path(path)
-    data = json.loads(path.read_text())
-    _check_header(data, "pipeline", path)
-    stages = []
-    for ref in data["stages"]:
-        ref_path = Path(ref)
-        if not ref_path.is_absolute():
-            ref_path = path.parent / ref_path
-        if not ref_path.exists():
-            raise ModelRefError(f"missing stage model file {ref_path}")
-        stages.append(load_stage(ref_path, check_hash))
-    return PipelineConfig(stages=tuple(stages),
-                          enc=EncodingScheme(**data["encoding"]))
+
+    def build(data):
+        # relative stage references are relative to the pipeline file
+        stages = tuple(load_stage(path.parent / ref, check_hash)
+                       for ref in data["stages"])
+        return PipelineConfig(stages=stages,
+                              enc=EncodingScheme(**data["encoding"]))
+    return _read_model(path, "pipeline", build)
 
 
 def load_cost_table(path) -> CostTable:

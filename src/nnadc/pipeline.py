@@ -190,10 +190,8 @@ def convert(p: PipelineConfig, v, mode: str = "behavioral") -> np.ndarray:
     return codes
 
 
-def reconstruct(code, enc: EncodingScheme, width: int | None = None):
+def reconstruct(code, enc: EncodingScheme, width: int):
     """Midpoint reconstruction of integer codes ``width`` bits wide."""
-    if width is None:
-        raise ConfigError("width required for integer codes")
     out = enc.denormalize((np.asarray(code, dtype=float) + 0.5) / (1 << width))
     return float(out) if np.isscalar(code) else out
 

@@ -35,6 +35,9 @@ LOG_THRESHOLD = math.sqrt(2.0) - 1.0  # input where log2(1+v) crosses 1/2
 # The standard coherent test tone: FFT bin 127 of a 4,096-point record.
 TONE_N = 4096
 TONE_BIN = 127
+# Stage training and the residue MSE evaluate on this many evenly spaced
+# inputs in [0, vdd).
+EVAL_N = 2048
 
 
 @dataclass(frozen=True)

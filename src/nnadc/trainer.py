@@ -25,6 +25,7 @@ from .errors import ConfigError, ShapeError, TrainingError
 from .pipeline import stage_levels
 # the stage-target oracles live in signal_core; perfbench calls them here
 from .signal_core import (
+    EVAL_N,
     TONE_BIN,
     TONE_N,
     EncodingScheme,
@@ -152,17 +153,15 @@ def _forward(params: MlpParams, x: np.ndarray, family: VtcFamily,
 
 def forward_stage(params: MlpParams, inputs: np.ndarray, family: VtcFamily,
                   mode: str, kind: str, vdd: float) -> np.ndarray:
-    """Network output voltages for a batch of input voltages.
+    """Inference output voltages for a batch of input voltages.
 
-    ``mode="train"`` uses the per-neuron VTC assignment and, for sub-ADC
-    outputs, a steep logistic comparator surrogate; ``mode="infer"`` uses
-    the nominal VTC and hard comparators at vdd/2, as refinement does.
+    ``mode`` must be ``"infer"``: the nominal VTC and, for sub-ADC
+    outputs, hard comparators at vdd/2, as refinement scores them.
+    ``backprop``'s train pass is ``_forward``.
     """
-    x = np.atleast_2d(inputs)
-    if mode == "train":
-        return _forward(params, x, family, kind, vdd)[0]
     if mode != "infer":
         raise ConfigError(f"unknown forward mode {mode!r}")
+    x = np.atleast_2d(inputs)
     _check_batch(params, x)
     decide = _decision(kind, family.nominal, vdd)
     h = _hidden(family.nominal, x, params.w1, params.b1)
@@ -221,32 +220,34 @@ def adam_step(params: MlpParams, grads: dict, state: AdamState,
         arr -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
+def _slots(params: MlpParams, bias_drive: float) -> tuple:
+    """``(name, fan-in, scale)`` of each parameter array.
+
+    Biases are realized by one more crossbar row driven at
+    ``bias_drive``, so a bias b is the weight b / bias_drive on the grid
+    of its layer, and that row counts in the layer's fan-in.
+    """
+    f1, f2 = params.w1.shape[0] + 1, params.hidden + 1
+    return (("w1", f1, 1.0), ("b1", f1, bias_drive),
+            ("w2", f2, 1.0), ("b2", f2, bias_drive))
+
+
 def clip_params(params: MlpParams, grid: DeviceGrid,
                 bias_drive: float) -> None:
     """In-place clip of all parameters to the realizable weight range."""
-    wm1 = grid.w_max(params.w1.shape[0] + 1)
-    wm2 = grid.w_max(params.hidden + 1)
-    np.clip(params.w1, -wm1, wm1, out=params.w1)
-    np.clip(params.b1, -wm1 * bias_drive, wm1 * bias_drive, out=params.b1)
-    np.clip(params.w2, -wm2, wm2, out=params.w2)
-    np.clip(params.b2, -wm2 * bias_drive, wm2 * bias_drive, out=params.b2)
+    for name, fan_in, scale in _slots(params, bias_drive):
+        arr = getattr(params, name)
+        bound = grid.w_max(fan_in) * scale
+        np.clip(arr, -bound, bound, out=arr)
 
 
 def project(params: MlpParams, grid: DeviceGrid, bias_drive: float) -> MlpParams:
-    """Clip and quantize all parameters onto the device grid.
-
-    Biases are realized by a crossbar row driven at ``bias_drive``, so
-    they quantize as bias-weight = b / bias_drive on the same grid.
-    """
-    f1 = params.w1.shape[0] + 1
-    f2 = params.hidden + 1
+    """Clip and quantize all parameters onto the device grid."""
     return MlpParams(
-        w1=quantize_weight(params.w1, grid, f1),
-        b1=quantize_weight(params.b1 / bias_drive, grid, f1) * bias_drive,
-        w2=quantize_weight(params.w2, grid, f2),
-        b2=quantize_weight(params.b2 / bias_drive, grid, f2) * bias_drive,
-        vtc_assignment=params.vtc_assignment.copy(),
-    )
+        **{name: quantize_weight(getattr(params, name) / scale, grid,
+                                 fan_in) * scale
+           for name, fan_in, scale in _slots(params, bias_drive)},
+        vtc_assignment=params.vtc_assignment.copy())
 
 
 def refine_discrete(params: MlpParams, grid: DeviceGrid, bias_drive: float,
@@ -259,45 +260,42 @@ def refine_discrete(params: MlpParams, grid: DeviceGrid, bias_drive: float,
     fraction of the input range.  This repairs that: each hidden
     neuron's input weights and bias are re-chosen *jointly* over the
     full level grid (their effect on the transition placement is
-    coupled), then the output layer is refined one weight at a time.
-    Moves are accepted only if the true inference-mode score improves.
+    coupled), then the output layer is refined one weight or bias at a
+    time.  Moves are accepted only if the true inference-mode score
+    improves.
 
     ``score`` maps the network output batch for inputs ``x`` to a float.
     """
     p = project(params, grid, bias_drive)
-    f1 = p.w1.shape[0] + 1
-    f2 = p.hidden + 1
-    lev1 = grid.weight_levels(f1)
-    lev2 = grid.weight_levels(f2)
+    n_in = p.w1.shape[0]
+    lev1 = grid.weight_levels(n_in + 1)
+    lev2 = grid.weight_levels(p.hidden + 1)
     nom = family.nominal
     out_of = _decision(kind, nom, vdd)
     h = _hidden(nom, x, p.w1, p.b1)
     pre2 = h @ p.w2 + p.b2
     best = score(out_of(pre2))
-    n_in = p.w1.shape[0]
     # Joint column enumeration is what repairs coarse lattices, but it
     # grows as 2^(A_R·(n_in+1)); past a few thousand combinations the
     # lattice is fine enough for single-coordinate moves.
-    if len(lev1) ** (n_in + 1) <= 4096:
+    joint = len(lev1) ** (n_in + 1) <= 4096
+    if joint:
         col_combos = np.stack(np.meshgrid(*([lev1] * (n_in + 1)),
                                           indexing="ij"),
                               -1).reshape(-1, n_in + 1)
-    else:
-        col_combos = None
     for _ in range(passes):
         improved = False
         for j in range(p.hidden):
             base = pre2 - h[:, j:j + 1] * p.w2[j]
             cur = np.concatenate([p.w1[:, j], [p.b1[j] / bias_drive]])
-            if col_combos is not None:
+            if joint:
                 combos = col_combos
             else:
-                combos = [cur.copy() for _ in range((n_in + 1) * len(lev1))]
-                k = 0
+                # every level of one coordinate at a time, the others
+                # held at the column's start
+                combos = np.tile(cur, ((n_in + 1) * len(lev1), 1))
                 for c in range(n_in + 1):
-                    for lv in lev1:
-                        combos[k][c] = lv
-                        k += 1
+                    combos[c * len(lev1):(c + 1) * len(lev1), c] = lev1
             for combo in combos:
                 if np.array_equal(combo, cur):
                     continue
@@ -309,30 +307,25 @@ def refine_discrete(params: MlpParams, grid: DeviceGrid, bias_drive: float,
                     p.b1[j] = combo[-1] * bias_drive
                     h[:, j] = hj
             pre2 = base + h[:, j:j + 1] * p.w2[j]
-        for j in range(p.hidden):
-            for o in range(p.w2.shape[1]):
-                base = pre2[:, o] - h[:, j] * p.w2[j, o]
-                for lv in lev2:
-                    if lv == p.w2[j, o]:
-                        continue
-                    col = pre2.copy()
-                    col[:, o] = base + h[:, j] * lv
-                    s = score(out_of(col))
-                    if s < best:
-                        best, improved = s, True
-                        p.w2[j, o] = lv
-                        pre2 = col
-        for o in range(p.b2.size):
-            base = pre2[:, o] - p.b2[o]
-            for lv in lev2:
-                if lv * bias_drive == p.b2[o]:
+        # output layer, one entry at a time: (array, index, input, levels);
+        # a bias is an entry whose input is 1 and whose levels are scaled
+        # by the bias drive
+        moves = [(p.w2, (j, o), h[:, j], lev2)
+                 for j in range(p.hidden) for o in range(p.w2.shape[1])]
+        moves += [(p.b2, (o,), 1.0, lev2 * bias_drive)
+                  for o in range(p.b2.size)]
+        for arr, idx, inp, levels in moves:
+            o = idx[-1]
+            base = pre2[:, o] - inp * arr[idx]
+            for lv in levels:
+                if lv == arr[idx]:
                     continue
                 col = pre2.copy()
-                col[:, o] = base + lv * bias_drive
+                col[:, o] = base + inp * lv
                 s = score(out_of(col))
                 if s < best:
                     best, improved = s, True
-                    p.b2[o] = lv * bias_drive
+                    arr[idx] = lv
                     pre2 = col
         if not improved:
             break
@@ -343,47 +336,16 @@ def _bump_levels(params: MlpParams, grid: DeviceGrid, bias_drive: float,
                  rng: np.random.Generator, n_moves: int = 3) -> MlpParams:
     """Random neighbor on the level lattice: a few ±1-level steps."""
     p = params.copy()
-    lev1 = grid.weight_levels(p.w1.shape[0] + 1)
-    lev2 = grid.weight_levels(p.hidden + 1)
-    slots = (("w1", lev1, 1.0), ("b1", lev1, bias_drive),
-             ("w2", lev2, 1.0), ("b2", lev2, bias_drive))
+    slots = _slots(p, bias_drive)
     for _ in range(n_moves):
-        name, lev, scale = slots[int(rng.integers(len(slots)))]
+        name, fan_in, scale = slots[int(rng.integers(len(slots)))]
+        lev = grid.weight_levels(fan_in)
         arr = getattr(p, name)
         idx = tuple(int(rng.integers(d)) for d in arr.shape)
         i = int(np.argmin(np.abs(lev * scale - arr[idx])))
         i = int(np.clip(i + rng.choice((-1, 1)), 0, lev.size - 1))
         arr[idx] = lev[i] * scale
     return p
-
-
-def _refine_with_hops(candidates, grid: DeviceGrid, bias_drive: float,
-                      family: VtcFamily, kind: str, vdd: float,
-                      x: np.ndarray, out_score, passes: int, hops: int,
-                      rng: np.random.Generator) -> MlpParams:
-    """Greedy refinement of every candidate plus basin-hopping restarts.
-
-    Greedy coordinate refinement gets stuck when no single column or
-    weight move improves the score; random ±1-level kicks followed by
-    re-refinement escape such basins cheaply.
-    """
-    def param_score(p):
-        return out_score(forward_stage(p, x, family, "infer", kind, vdd))
-
-    best = min((refine_discrete(c, grid, bias_drive, family, kind, vdd, x,
-                                out_score, passes=passes)
-                for c in candidates), key=param_score)
-    if passes == 0:
-        return best
-    best_score = param_score(best)
-    for _ in range(hops):
-        cand = refine_discrete(
-            _bump_levels(best, grid, bias_drive, rng), grid, bias_drive,
-            family, kind, vdd, x, out_score, passes=passes)
-        score = param_score(cand)
-        if score < best_score:
-            best, best_score = cand, score
-    return best
 
 
 @dataclass
@@ -447,21 +409,33 @@ def _init_params(f_in: int, hidden: int, f_out: int, grid: DeviceGrid,
 def _train_net(kind: str, make_batch, f_in: int, hidden: int, f_out: int,
                family: VtcFamily, grid: DeviceGrid, config: TrainConfig,
                bias_drive: float, vdd: float, rng: np.random.Generator,
-               eval_x: np.ndarray, out_score):
-    """Adam + periodic projection.
+               eval_x: np.ndarray, out_score, passes: int, restarts: int,
+               rng_hop: np.random.Generator) -> MlpParams:
+    """One network's whole recipe: Adam, discrete refinement, basin hops.
 
-    Each projected snapshot is scored by ``out_score`` of its
-    inference-mode output for ``eval_x``.  Returns ``(best_projected,
-    final_continuous)``: the best projected snapshot seen during the run
-    and the final unprojected parameters (a second candidate starting
-    point for discrete refinement).
+    Adam runs with a periodic clip+quantize projection; each projected
+    snapshot is scored by ``out_score`` of its inference output for
+    ``eval_x``.  The best snapshot, the final continuous parameters and
+    ``restarts`` fresh inits (drawn from ``rng_hop``; they give the
+    refiner basins the gradient run may have abandoned) are each refined
+    with ``passes`` sweeps, and the best of them is kept.  Greedy
+    refinement gets stuck when no single column or weight move improves
+    the score, so ``config.refine_hops`` random ±1-level kicks, each
+    re-refined, then replace it whenever they score better.
     """
+    def param_score(p):
+        return out_score(forward_stage(p, eval_x, family, "infer", kind, vdd))
+
+    def refined(start):
+        return refine_discrete(start, grid, bias_drive, family, kind, vdd,
+                               eval_x, out_score, passes=passes)
+
     params = _init_params(f_in, hidden, f_out, grid, bias_drive, vdd,
                           family.nominal.v_m, rng)
     params.vtc_assignment = rng.integers(len(family), size=hidden)
     state = AdamState()
-    best: MlpParams | None = None
-    best_score = np.inf
+    snap: MlpParams | None = None
+    snap_score = np.inf
     decay = COMPARATOR_WIDTH_RATIO / COMPARATOR_WIDTH_START
     for it in range(config.total_iters):
         if config.redraw_vtc:
@@ -478,13 +452,24 @@ def _train_net(kind: str, make_batch, f_in: int, hidden: int, f_out: int,
         clip_params(params, grid, bias_drive)
         if (it + 1) % config.projection_period == 0 or it + 1 == config.total_iters:
             projected = project(params, grid, bias_drive)
-            score = out_score(forward_stage(projected, eval_x, family,
-                                            "infer", kind, vdd))
-            if score < best_score:
-                best_score = score
-                best = projected.copy()
-    assert best is not None
-    return best, params
+            score = param_score(projected)
+            if score < snap_score:
+                snap_score = score
+                snap = projected
+    assert snap is not None
+    starts = [snap, params, *(
+        _init_params(f_in, hidden, f_out, grid, bias_drive, vdd,
+                     family.nominal.v_m, rng_hop) for _ in range(restarts))]
+    best = min(map(refined, starts), key=param_score)
+    if passes == 0:
+        return best
+    best_score = param_score(best)
+    for _ in range(config.refine_hops):
+        cand = refined(_bump_levels(best, grid, bias_drive, rng_hop))
+        score = param_score(cand)
+        if score < best_score:
+            best, best_score = cand, score
+    return best
 
 
 def subadc_hard_bits(params: MlpParams, v: np.ndarray, spec: StageSpec,
@@ -511,7 +496,7 @@ def train_stage(spec: StageSpec, enc: EncodingScheme, family: VtcFamily,
     rng_sub, rng_res, rng_hop = (np.random.default_rng(s)
                                  for s in ss.spawn(3))
     codes = np.asarray(spec.codes(), dtype=float)
-    eval_grid = np.arange(2048) / 2048.0 * vdd
+    eval_grid = np.arange(EVAL_N) / EVAL_N * vdd
 
     def subadc_batch(n, rng):
         r = rng.uniform(0.0, vdd, size=(n, 1))
@@ -524,21 +509,11 @@ def train_stage(spec: StageSpec, enc: EncodingScheme, family: VtcFamily,
         lvl = smooth_decode_array(out / rail, spec)
         return float(np.abs(lvl - ideal_lvl).mean())
 
-    sub_snap, sub_final = _train_net(
+    subadc = _train_net(
         "subadc", subadc_batch, 1, spec.subadc_hidden, spec.smooth_width,
         family, grid, config, bias_drive, vdd, rng_sub, eval_grid[:, None],
-        sub_out_score)
-
-    # Fresh transition-aware inits give the refiner starting basins the
-    # gradient run may have abandoned; they cost almost nothing here.
-    sub_restarts = [_init_params(1, spec.subadc_hidden, spec.smooth_width,
-                                 grid, bias_drive, vdd, family.nominal.v_m,
-                                 rng_hop) for _ in range(2)]
-    subadc = _refine_with_hops(
-        [sub_snap, sub_final, *sub_restarts], grid, bias_drive, family,
-        "subadc", vdd, eval_grid[:, None], sub_out_score,
-        passes=min(config.refine_passes, 2), hops=config.refine_hops,
-        rng=rng_hop)
+        sub_out_score, passes=min(config.refine_passes, 2), restarts=2,
+        rng_hop=rng_hop)
 
     residue = None
     residue_layers = None
@@ -563,15 +538,11 @@ def train_stage(spec: StageSpec, enc: EncodingScheme, family: VtcFamily,
             pred = np.clip(out[:, 0], 0.0, vdd)
             return float(((pred - ideal_res) ** 2).mean())
 
-        res_snap, res_final = _train_net(
+        residue = _train_net(
             "residue", residue_batch, 1 + spec.smooth_width,
             spec.residue_hidden, 1, family, grid, config, bias_drive, vdd,
-            rng_res, eval_x, res_out_score)
-        residue = _refine_with_hops(
-            [res_snap, res_final], grid, bias_drive, family, "residue",
-            vdd, eval_x, res_out_score,
-            passes=config.refine_passes, hops=config.refine_hops,
-            rng=rng_hop)
+            rng_res, eval_x, res_out_score, passes=config.refine_passes,
+            restarts=0, rng_hop=rng_hop)
         residue_layers = _instantiate_net(residue, grid, bias_drive)
 
     stage = TrainedStage(

@@ -153,6 +153,22 @@ class TestPipelineCommands:
             "--stages", "no_such_stage.json"])
         assert res.exit_code == EXIT_MODEL_REF
 
+    @pytest.mark.parametrize("command, content", [
+        ("simulate", "{broken"), ("simulate", None),
+        ("build-pipeline", "{broken")],
+        ids=["simulate-bad-json", "simulate-missing", "build-bad-json"])
+    def test_unreadable_model_file_exit_code(self, runner, workdir, command,
+                                             content):
+        path = workdir["tmp"] / "model.json"
+        if content is not None:
+            path.write_text(content)
+        flag = "--pipeline" if command == "simulate" else "--stages"
+        res = runner.invoke(main, [command, "--config", str(workdir["cfg"]),
+                                   flag, str(path)])
+        assert res.exit_code == EXIT_MODEL_REF, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert f"model file {path}: " in res.output
+
     def test_foreign_model_rejected_without_force(self, runner, workdir,
                                                   tmp_path):
         stage = train_one(runner, workdir)

@@ -81,8 +81,8 @@ class TestVmm:
         layer = CrossbarLayer(g_u=g_u, g_l=g_l, grid=SPEC_GRID)
         sums = (g_u + g_l).sum()
         w0 = 100e-6 / sums
-        out = vmm(layer, np.array([1.0, 0.7]))
-        assert out == pytest.approx([w0])
+        out = vmm(layer, np.array([[1.0, 0.7]]))
+        assert out[0] == pytest.approx([w0])
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(5)
@@ -94,18 +94,22 @@ class TestVmm:
         w = weights_from_conductances(layer)
         want = [sum(w[k, j] * v[k] for k in range(5)) + w[5, j] * 1.2
                 for j in range(4)]
-        assert vmm(layer, v) == pytest.approx(want, abs=1e-12)
+        assert vmm(layer, v[None, :])[0] == pytest.approx(want, abs=1e-12)
 
     def test_linear(self):
         rng = np.random.default_rng(6)
         g_u = rng.uniform(1e-6, 8e-6, size=(4, 3))
         g_l = rng.uniform(1e-6, 8e-6, size=(4, 3))
-        layer = CrossbarLayer(g_u=g_u, g_l=g_l, grid=SPEC_GRID)
-        x = rng.uniform(0.0, 1.0, size=3)
-        y = rng.uniform(0.0, 1.0, size=3)
-        lhs = vmm(layer, 0.3 * x + 0.6 * y, v_bias=0.0)
-        rhs = 0.3 * vmm(layer, x, v_bias=0.0) + 0.6 * vmm(layer, y, v_bias=0.0)
-        assert lhs == pytest.approx(rhs, abs=1e-10)
+        layer = CrossbarLayer(g_u=g_u, g_l=g_l, grid=SPEC_GRID,
+                              bias_voltage=1.2)
+        x = rng.uniform(0.0, 1.0, size=(5, 3))
+        y = rng.uniform(0.0, 1.0, size=(5, 3))
+
+        def signal(v):  # the bias row's share taken out
+            return vmm(layer, v) - vmm(layer, np.zeros_like(v))
+        lhs = signal(0.3 * x + 0.6 * y)
+        rhs = 0.3 * signal(x) + 0.6 * signal(y)
+        np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_batched(self):
         rng = np.random.default_rng(7)
@@ -115,13 +119,13 @@ class TestVmm:
         batch = rng.uniform(0.0, 1.0, size=(10, 3))
         out = vmm(layer, batch)
         assert out.shape == (10, 2)
-        assert out[3] == pytest.approx(vmm(layer, batch[3]))
+        assert out[3] == pytest.approx(vmm(layer, batch[3:4])[0])
 
     def test_shape_check(self):
         layer = CrossbarLayer(g_u=np.full((3, 1), 2e-6),
                               g_l=np.full((3, 1), 2e-6), grid=SPEC_GRID)
         with pytest.raises(ShapeError):
-            vmm(layer, np.array([1.0, 0.5, 0.2]))
+            vmm(layer, np.array([[1.0, 0.5, 0.2]]))
 
 
 class TestQuantizeWeight:

@@ -17,7 +17,10 @@ from nnadc.modelio import (
     save_stage,
     write_csv,
 )
-from nnadc.pipeline import convert
+from nnadc.crossbar import DeviceGrid
+from nnadc.pipeline import PipelineConfig, convert
+from nnadc.signal_core import StageSpec
+from nnadc.trainer import TrainConfig, train_stage
 
 
 class TestHashing:
@@ -70,6 +73,43 @@ class TestStageRoundTrip:
         with pytest.raises(ConfigError):
             load_stage(path)
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("subadc", None, "KeyError"), ("grid", [1], "TypeError")])
+    def test_malformed_field_is_model_ref_error(self, tiny_stage, tmp_path,
+                                                field, value, error):
+        path = tmp_path / "stage.json"
+        save_stage(tiny_stage, path)
+        data = json.loads(path.read_text())
+        if value is None:
+            del data[field]
+        else:
+            data[field] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ModelRefError,
+                           match=f"stage model file {path}: {error}"):
+            load_stage(path)
+
+    def test_code_table_round_trip(self, tiny_stage, tmp_path):
+        """A stage with its own smooth-code table decodes with it after
+        loading; 1 bit over 3 wires has no built-in table."""
+        spec = StageSpec(resolution_bits=1, smooth_width=3,
+                         code_table=((0, 0, 0), (1, 1, 1)))
+        cfg = TrainConfig(batch_size=64, total_iters=8, projection_period=4,
+                          refine_passes=0, seed=5)
+        stage = train_stage(spec, tiny_stage.enc, tiny_stage.family,
+                            DeviceGrid(), cfg)
+        path = tmp_path / "stage.json"
+        save_stage(stage, path)
+        loaded = load_stage(path)
+        assert loaded.spec == spec
+        hash(loaded.spec)  # the frozen spec stays hashable
+        assert loaded.spec.codes() == spec.codes()
+        v = np.linspace(0, 1, 64)
+
+        def conv(st):
+            return convert(PipelineConfig(stages=(st, st), enc=st.enc), v)
+        np.testing.assert_array_equal(conv(loaded), conv(stage))
+
 
 class TestPipelineFiles:
     def test_round_trip_and_identical_conversion(self, tiny_stage, tmp_path):
@@ -80,7 +120,6 @@ class TestPipelineFiles:
         p = load_pipeline(pp)
         assert p.reso == 2
         v = np.linspace(0, 1, 32)
-        from nnadc.pipeline import PipelineConfig
         direct = PipelineConfig(stages=(tiny_stage, tiny_stage),
                                 enc=tiny_stage.enc)
         np.testing.assert_array_equal(convert(p, v), convert(direct, v))

@@ -105,10 +105,6 @@ class TestPipelineConfig:
 class TestReconstruct:
     def test_midpoint_linear(self):
         assert reconstruct(0b1011, ENC, width=4) == pytest.approx(11.5 / 16)
-
-    def test_integer_needs_width(self):
-        with pytest.raises(ConfigError):
-            reconstruct(5, ENC)
         assert reconstruct(5, ENC, width=4) == pytest.approx(5.5 / 16)
 
     def test_round_trip_within_lsb(self):

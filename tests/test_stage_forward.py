@@ -62,16 +62,9 @@ def ref_vtc(p, v):
     return float(out) if np.isscalar(v) else out
 
 
-def ref_vmm(layer, v_in, v_bias=None):
+def ref_vmm(layer, v):
     w = weights_from_conductances(layer)
-    v = np.asarray(v_in, dtype=float)
-    batched = v.ndim == 2
-    if not batched:
-        v = v[None, :]
-    if v_bias is None:
-        v_bias = layer.bias_voltage
-    out = v @ w[:-1] + v_bias * w[-1]
-    return out if batched else out[0]
+    return v @ w[:-1] + layer.bias_voltage * w[-1]
 
 
 def ref_net(layers, x, nominal, kind, vdd):
@@ -253,25 +246,23 @@ class TestInPlaceKernels:
         cols = data.draw(st.integers(1, 6))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         layer = random_layer(rng, rows, cols,
-                             data.draw(st.sampled_from([0.0, 2.5])))
-        shape = data.draw(st.sampled_from(
-            [(rows - 1,), (data.draw(st.integers(0, 40)), rows - 1)]))
+                             data.draw(st.sampled_from([0.0, 1.7, 2.5])))
+        shape = (data.draw(st.integers(0, 40)), rows - 1)
         v = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(
             st.floats(-2.0, 2.0), st.sampled_from(SPECIAL))))
-        v_bias = data.draw(st.sampled_from([None, 0.0, 1.7]))
-        want = ref_vmm(layer, v, v_bias)
-        assert_same_bits(vmm(layer, v, v_bias), want)
+        want = ref_vmm(layer, v)
+        assert_same_bits(vmm(layer, v), want)
         out = np.full(want.shape, np.nan)
-        got = vmm(layer, v, v_bias, out=out)
-        assert_same_bits(got, want)
-        assert got is out if v.ndim == 2 else np.shares_memory(got, out)
+        assert vmm(layer, v, out=out) is out
         assert_same_bits(out, want)
 
     def test_vmm_rejects_0d(self):
+        """Only a 2-D batch is an input: 0-D and 1-D are refused."""
         layer = random_layer(np.random.default_rng(0), 2, 3, 0.0)
-        for out in (None, np.empty(3)):
-            with pytest.raises(ShapeError):
-                vmm(layer, np.array(0.5), out=out)
+        for v in (np.array(0.5), np.array([0.5])):
+            for out in (None, np.empty(3)):
+                with pytest.raises(ShapeError):
+                    vmm(layer, v, out=out)
 
     @settings(deadline=None, max_examples=300)
     @given(hnp.arrays(

@@ -150,10 +150,8 @@ class TestForward:
         params = random_params(1, 3, 2, rng)
         x = rng.uniform(0, 1, size=(200, 1))
         hard = forward_stage(params, x, FAMILY, "infer", "subadc", VDD)
-        params_nom = dataclasses.replace(params,
-                                         vtc_assignment=params.vtc_assignment)
-        soft = forward_stage(params_nom, x, FAMILY, "train", "subadc", VDD)
-        # train mode uses family members; compare only decision agreement
+        soft, _ = trainer_module._forward(params, x, FAMILY, "subadc", VDD)
+        # the train pass uses family members; compare only decision agreement
         agree = np.mean((soft > FAMILY.nominal.v_high / 2) == (hard > 0))
         assert agree > 0.9
 
@@ -172,10 +170,12 @@ class TestForward:
                           VDD)
 
     def test_unknown_mode(self):
+        """Only inference is a forward mode; ``_forward`` is the train pass."""
         params = random_params(1, 3, 1, np.random.default_rng(5))
-        with pytest.raises(ConfigError, match="forward mode"):
-            forward_stage(params, np.zeros((1, 1)), FAMILY, "spice",
-                          "residue", VDD)
+        for mode in ("spice", "train"):
+            with pytest.raises(ConfigError, match="forward mode"):
+                forward_stage(params, np.zeros((1, 1)), FAMILY, mode,
+                              "residue", VDD)
 
     @settings(deadline=None, max_examples=200)
     @given(st.data())
@@ -400,6 +400,24 @@ class TestTrainStage:
             levels = GRID.weight_levels(fan)
             assert np.all(np.isclose(params.w1[..., None], levels,
                                      atol=1e-12).any(axis=-1))
+
+    def test_restarts_and_hops_pinned(self):
+        """The whole per-network recipe on a tiny budget: sub-ADC restarts,
+        refinement of every start and basin hops of both networks, in the
+        order they draw from the shared hop generator.  Weights are level
+        indices, as in ``TestRefineCandidateSequence``."""
+        cfg = dataclasses.replace(TINY, refine_passes=1, refine_hops=2)
+        stage = train_stage(StageSpec(resolution_bits=1, vdd=VDD),
+                            EncodingScheme(), FAMILY, GRID, cfg)
+        indices = TestRefineCandidateSequence.level_indices
+        assert indices(stage, stage.subadc) == {
+            "w1": [[6, 6, 7]], "b1": [5, 4, 4],
+            "w2": [[1, 3], [6, 3], [1, 1]], "b2": [4, 5]}
+        assert indices(stage, stage.residue) == {
+            "w1": [[1, 6, 7, 7, 0], [0, 0, 0, 2, 0], [0, 0, 0, 3, 0]],
+            "b1": [7, 7, 6, 6, 6],
+            "w2": [[6], [0], [2], [3], [7]], "b2": [4]}
+        assert stage.train_metrics["residue_mse"] == 0.06432000720429001
 
     def test_evaluate_stage_deterministic(self):
         spec = StageSpec(resolution_bits=1, vdd=VDD)
