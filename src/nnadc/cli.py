@@ -164,13 +164,13 @@ def cmd_build_pipeline(config_path, stage_list, out_name):
     """Assemble a pipeline description from stage model files."""
     cfg = ExperimentConfig.from_file(config_path)
     paths = [Path(p) for p in stage_list.split(",") if p]
-    for p in paths:
-        if not p.exists():
-            raise ModelRefError(f"missing stage model file {p}")
+    # stage files and total resolution are checked before anything is
+    # written, so a failed build leaves no pipeline file behind
+    _pipe.PipelineConfig(stages=tuple(map(modelio.load_stage, paths)),
+                         enc=cfg.encoding)
     out = cfg.out_dir() / out_name
     modelio.save_pipeline(out, paths, cfg.encoding,
                           run_hash=cfg.run_hash())
-    modelio.load_pipeline(out)  # validates stage refs and resolution
     _write_manifest(cfg, "build-pipeline", [out])
     click.echo(f"wrote {out}")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -185,12 +186,15 @@ def load_stage(path, check_hash: str | None = None) -> TrainedStage:
 
 def save_pipeline(path, stage_paths, enc: EncodingScheme,
                   run_hash: str = "") -> None:
+    """Pipeline file at ``path``; each stage path, absolute or relative to
+    the working directory, is stored relative to ``path``'s folder."""
     data = {
         "schema_version": SCHEMA_VERSION,
         "kind": "pipeline",
         "config_hash": run_hash,
         "encoding": _enc_dict(enc),
-        "stages": [str(p) for p in stage_paths],
+        "stages": [os.path.relpath(p, Path(path).parent)
+                   for p in stage_paths],
     }
     Path(path).write_text(json.dumps(data, indent=1))
 

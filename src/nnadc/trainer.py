@@ -264,7 +264,14 @@ def refine_discrete(params: MlpParams, grid: DeviceGrid, bias_drive: float,
     time.  Moves are accepted only if the true inference-mode score
     improves.
 
-    ``score`` maps the network output batch for inputs ``x`` to a float.
+    The outputs of a lattice line of candidates (the levels of one
+    coordinate) are computed at once, then scored in order.  That is
+    exact: a hidden column's candidates all add to the same ``base``, an
+    accepted output move changes only output ``o``, which the entry's
+    later candidates overwrite, and a stacked matmul runs one gemv per
+    candidate, equal to its ``x @ w`` bit for bit (a gemm is not).
+
+    ``score`` maps the (points, outputs) batch for inputs ``x`` to a float.
     """
     p = project(params, grid, bias_drive)
     n_in = p.w1.shape[0]
@@ -275,6 +282,9 @@ def refine_discrete(params: MlpParams, grid: DeviceGrid, bias_drive: float,
     h = _hidden(nom, x, p.w1, p.b1)
     pre2 = h @ p.w2 + p.b2
     best = score(out_of(pre2))
+    # point-last layouts: a line's outputs are (candidate, output, point)
+    h, pre2 = h.T.copy(), pre2.T.copy()
+    outs = np.empty((len(lev1), *pre2.shape))
     # Joint column enumeration is what repairs coarse lattices, but it
     # grows as 2^(A_R·(n_in+1)); past a few thousand combinations the
     # lattice is fine enough for single-coordinate moves.
@@ -286,8 +296,9 @@ def refine_discrete(params: MlpParams, grid: DeviceGrid, bias_drive: float,
     for _ in range(passes):
         improved = False
         for j in range(p.hidden):
-            base = pre2 - h[:, j:j + 1] * p.w2[j]
-            cur = np.concatenate([p.w1[:, j], [p.b1[j] / bias_drive]])
+            w2j = p.w2[j][:, None]
+            base = pre2 - w2j * h[j]
+            cur = [*p.w1[:, j].tolist(), p.b1[j] / bias_drive]
             if joint:
                 combos = col_combos
             else:
@@ -296,37 +307,42 @@ def refine_discrete(params: MlpParams, grid: DeviceGrid, bias_drive: float,
                 combos = np.tile(cur, ((n_in + 1) * len(lev1), 1))
                 for c in range(n_in + 1):
                     combos[c * len(lev1):(c + 1) * len(lev1), c] = lev1
-            for combo in combos:
-                if np.array_equal(combo, cur):
-                    continue
-                hj = _hidden(nom, x, combo[:-1], combo[-1] * bias_drive)
-                s = score(out_of(base + hj[:, None] * p.w2[j]))
-                if s < best:
-                    best, cur, improved = s, combo.copy(), True
-                    p.w1[:, j] = combo[:-1]
-                    p.b1[j] = combo[-1] * bias_drive
-                    h[:, j] = hj
-            pre2 = base + h[:, j:j + 1] * p.w2[j]
+            for block in np.split(combos, len(combos) // len(lev1)):
+                hs = np.matmul(x[None], block[:, :-1, None])[..., 0]
+                hs += block[:, -1:] * bias_drive
+                vtc_eval(nom, hs, out=hs)
+                np.multiply(w2j, hs[:, None], out=outs)
+                outs += base
+                for combo, hj, out in zip(block.tolist(), hs, out_of(outs)):
+                    if combo == cur:
+                        continue
+                    s = score(out.T)
+                    if s < best:
+                        best, cur, improved = s, combo, True
+                        p.w1[:, j] = combo[:-1]
+                        p.b1[j] = combo[-1] * bias_drive
+                        h[j] = hj
+            pre2 = base + w2j * h[j]
         # output layer, one entry at a time: (array, index, input, levels);
         # a bias is an entry whose input is 1 and whose levels are scaled
         # by the bias drive
-        moves = [(p.w2, (j, o), h[:, j], lev2)
+        moves = [(p.w2, (j, o), h[j], lev2)
                  for j in range(p.hidden) for o in range(p.w2.shape[1])]
         moves += [(p.b2, (o,), 1.0, lev2 * bias_drive)
                   for o in range(p.b2.size)]
         for arr, idx, inp, levels in moves:
             o = idx[-1]
-            base = pre2[:, o] - inp * arr[idx]
-            for lv in levels:
+            base = pre2[o] - inp * arr[idx]
+            outs[:] = pre2
+            outs[:, o] = base + levels[:, None] * inp
+            for lv, out in zip(levels.tolist(), out_of(outs)):
                 if lv == arr[idx]:
                     continue
-                col = pre2.copy()
-                col[:, o] = base + inp * lv
-                s = score(out_of(col))
+                s = score(out.T)
                 if s < best:
                     best, improved = s, True
                     arr[idx] = lv
-                    pre2 = col
+                    pre2[o] = base + inp * lv
         if not improved:
             break
     return p

@@ -152,6 +152,30 @@ class TestPipelineCommands:
             "build-pipeline", "--config", str(workdir["cfg"]),
             "--stages", "no_such_stage.json"])
         assert res.exit_code == EXIT_MODEL_REF
+        assert not (workdir["out"] / "pipeline.json").exists()
+
+    def test_relative_output_folder(self, runner, workdir, monkeypatch):
+        # train-stage reports its model under a relative NNADC_OUT as a
+        # path relative to the working directory; build-pipeline takes
+        # that path as it is
+        monkeypatch.chdir(workdir["tmp"])
+        monkeypatch.setenv("NNADC_OUT", "out2")
+        res = runner.invoke(main, ["train-stage", "--config",
+                                   str(workdir["cfg"])])
+        assert res.exit_code == 0, res.output
+        manifest = json.loads(Path("out2/manifest_train-stage.json")
+                              .read_text())
+        stage = manifest["outputs"][0]
+        assert not Path(stage).is_absolute()
+        res = runner.invoke(main, [
+            "build-pipeline", "--config", str(workdir["cfg"]),
+            "--stages", f"{stage},{stage}"])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, [
+            "simulate", "--config", str(workdir["cfg"]),
+            "--pipeline", "out2/pipeline.json"])
+        assert res.exit_code == 0, res.output
+        assert "ENOB" in res.output
 
     @pytest.mark.parametrize("command, content", [
         ("simulate", "{broken"), ("simulate", None),
@@ -168,6 +192,7 @@ class TestPipelineCommands:
         assert res.exit_code == EXIT_MODEL_REF, res.output
         assert isinstance(res.exception, SystemExit)
         assert f"model file {path}: " in res.output
+        assert not (workdir["out"] / "pipeline.json").exists()
 
     def test_foreign_model_rejected_without_force(self, runner, workdir,
                                                   tmp_path):

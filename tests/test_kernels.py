@@ -1,9 +1,11 @@
 """Bit-exactness of the fast numeric kernels against their reference formulas.
 
 ``vtc._logistic`` and ``signal_core.smooth_decode_array`` run in every
-refinement candidate and every conversion.  Their fast forms must give
-exactly the results of the straightforward formulas kept below, so that
-trained weights, refinement counters and pipeline codes never move.
+refinement candidate and every conversion, and ``trainer.refine_discrete``
+computes a lattice line of candidates with one stacked matmul.  Their fast
+forms must give exactly the results of the straightforward formulas kept
+below, so that trained weights, refinement counters and pipeline codes
+never move.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from nnadc.crossbar import DeviceGrid
 from nnadc.signal_core import StageSpec, smooth_decode_array
 from nnadc.vtc import _logistic
 
@@ -106,3 +109,25 @@ class TestSmoothDecodeArray:
         assert smooth_decode_array(np.array([[0.0, 1.0, 0.0]]), spec)[0] == 0
         assert smooth_decode_array(np.array([[0.5, 0.5]]),
                                    StageSpec(resolution_bits=1))[0] == 0
+
+
+class TestStackedGemv:
+    def test_matches_one_gemv_per_row(self):
+        """``np.matmul(x[None], W[:, :, None])`` runs one gemv per row of
+        ``W``, so it equals ``x @ w`` row by row; a gemm ``x @ W.T`` does
+        not.  The input is residue-shaped: a voltage column plus sub-ADC
+        bits at 0 or 2.5 V, against every column of a 4-input 3-bit
+        lattice."""
+        rng = np.random.default_rng(0)
+        v = np.arange(2048) / 2048.0
+        bits = 2.5 * (rng.random((2048, 3)) < 0.5)
+        x = np.hstack([v[:, None], bits])
+        lev = DeviceGrid().weight_levels(5)
+        W = np.stack(np.meshgrid(*([lev] * 4), indexing="ij"),
+                     -1).reshape(-1, 4)
+        stacked = np.matmul(x[None], W[:, :, None])[..., 0]
+        rows = np.stack([x @ w for w in W])
+        assert np.array_equal(stacked, rows), (
+            "stacked matmul no longer matches the per-candidate gemv: "
+            "trainer.refine_discrete would score different candidate "
+            "outputs and move the trained weights")

@@ -1,6 +1,7 @@
 """Model files: save/load round trips, hash checks, CSV export."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,11 +125,19 @@ class TestPipelineFiles:
                                 enc=tiny_stage.enc)
         np.testing.assert_array_equal(convert(p, v), convert(direct, v))
 
-    def test_relative_stage_refs(self, tiny_stage, tmp_path):
-        save_stage(tiny_stage, tmp_path / "s.json")
-        pp = tmp_path / "p.json"
-        save_pipeline(pp, ["s.json"], tiny_stage.enc)
+    def test_relative_stage_refs(self, tiny_stage, tmp_path, monkeypatch):
+        # stage paths relative to the working directory are stored
+        # relative to the pipeline file's folder
+        monkeypatch.chdir(tmp_path)
+        Path("out2").mkdir()
+        save_stage(tiny_stage, "out2/s.json")
+        pp = Path("out2/p.json")
+        save_pipeline(pp, ["out2/s.json"], tiny_stage.enc)
+        assert json.loads(pp.read_text())["stages"] == ["s.json"]
         assert load_pipeline(pp).reso == 1
+        moved = Path("moved")
+        Path("out2").rename(moved)
+        assert load_pipeline(moved / "p.json").reso == 1
 
     def test_missing_stage_ref(self, tiny_stage, tmp_path):
         pp = tmp_path / "p.json"

@@ -253,14 +253,14 @@ class TestRefineCandidateSequence:
     """
 
     @staticmethod
-    def refine(stage, kind, start, x, score):
+    def refine(stage, kind, start, x, score, grid=None):
         scores = []
 
         def counting(out):
             scores.append(score(out))
             return scores[-1]
 
-        p = refine_discrete(start, stage.grid, stage.bias_drive,
+        p = refine_discrete(start, grid or stage.grid, stage.bias_drive,
                             stage.family, kind, stage.spec.vdd, x, counting,
                             passes=1)
         running = np.minimum.accumulate(scores)
@@ -268,9 +268,10 @@ class TestRefineCandidateSequence:
         return p, len(scores), accepted, running[-1]
 
     @staticmethod
-    def level_indices(stage, p):
-        lev1 = stage.grid.weight_levels(p.w1.shape[0] + 1)
-        lev2 = stage.grid.weight_levels(p.hidden + 1)
+    def level_indices(stage, p, grid=None):
+        grid = grid or stage.grid
+        lev1 = grid.weight_levels(p.w1.shape[0] + 1)
+        lev2 = grid.weight_levels(p.hidden + 1)
         out = {}
         for name, lev, scale in (("w1", lev1, 1.0),
                                  ("b1", lev1, stage.bias_drive),
@@ -282,8 +283,11 @@ class TestRefineCandidateSequence:
             out[name] = idx.tolist()
         return out
 
-    def test_subadc_pass(self, tiny_stage):
-        spec, enc, family = tiny_stage.spec, tiny_stage.enc, tiny_stage.family
+    @staticmethod
+    def subadc_case(stage):
+        """The start of one of ``train_stage``'s refinement restarts, its
+        2,048-point evaluation grid and its score."""
+        spec, enc, family = stage.spec, stage.enc, stage.family
         grid = np.arange(2048) / 2048.0 * spec.vdd
         ideal = stage_level_targets(grid, spec, enc)
 
@@ -291,38 +295,92 @@ class TestRefineCandidateSequence:
             lvl = smooth_decode_array(out / family.nominal.v_high, spec)
             return float(np.abs(lvl - ideal).mean())
 
-        # the start of one of train_stage's refinement restarts
         start = trainer_module._init_params(
-            1, spec.subadc_hidden, spec.smooth_width, tiny_stage.grid,
-            tiny_stage.bias_drive, spec.vdd, family.nominal.v_m,
+            1, spec.subadc_hidden, spec.smooth_width, stage.grid,
+            stage.bias_drive, spec.vdd, family.nominal.v_m,
             np.random.default_rng(0))
+        return start, grid[:, None], score
+
+    @staticmethod
+    def residue_case(stage):
+        """The trained residue network, a 256-point grid with the
+        sub-ADC's hard bits, and the residue score."""
+        spec, enc = stage.spec, stage.enc
+        grid = np.arange(256) / 256.0 * spec.vdd
+        ideal = residue_targets(grid, stage_level_targets(grid, spec, enc),
+                                spec, enc)
+        x = np.hstack([grid[:, None],
+                       subadc_hard_bits(stage.subadc, grid, spec,
+                                        stage.family)])
+
+        def score(out):
+            return float(((np.clip(out[:, 0], 0.0, spec.vdd) - ideal) ** 2)
+                         .mean())
+
+        return stage.residue, x, score
+
+    def test_subadc_pass(self, tiny_stage):
+        start, x, score = self.subadc_case(tiny_stage)
         p, calls, accepted, best = self.refine(tiny_stage, "subadc", start,
-                                               grid[:, None], score)
+                                               x, score)
         assert (calls, accepted, best) == (248, 4, 0.083984375)
         assert self.level_indices(tiny_stage, p) == {
             "w1": [[0, 0, 7]], "b1": [0, 7, 4],
             "w2": [[7, 6], [0, 6], [2, 5]], "b2": [4, 5]}
 
     def test_residue_pass(self, tiny_stage):
-        spec, enc, family = tiny_stage.spec, tiny_stage.enc, tiny_stage.family
-        grid = np.arange(256) / 256.0 * spec.vdd
-        ideal = residue_targets(grid, stage_level_targets(grid, spec, enc),
-                                spec, enc)
-        x = np.hstack([grid[:, None],
-                       subadc_hard_bits(tiny_stage.subadc, grid, spec,
-                                        family)])
-
-        def score(out):
-            return float(((np.clip(out[:, 0], 0.0, spec.vdd) - ideal) ** 2)
-                         .mean())
-
-        p, calls, accepted, best = self.refine(tiny_stage, "residue",
-                                               tiny_stage.residue, x, score)
+        start, x, score = self.residue_case(tiny_stage)
+        p, calls, accepted, best = self.refine(tiny_stage, "residue", start,
+                                               x, score)
         assert (calls, accepted, best) == (20522, 21, 0.06399872093869513)
         assert self.level_indices(tiny_stage, p) == {
             "w1": [[3, 7, 2, 5, 0], [0, 3, 0, 0, 0], [0, 3, 0, 0, 0]],
             "b1": [6, 6, 7, 6, 6],
             "w2": [[5], [0], [5], [3], [7]], "b2": [4]}
+
+    def test_residue_single_coordinate_pass(self, tiny_stage):
+        # at 4 bits a residue column has 16^4 > 4,096 level combinations,
+        # so refinement moves one coordinate of a column at a time
+        grid = DeviceGrid(precision_bits=4)
+        start, x, score = self.residue_case(tiny_stage)
+        p, calls, accepted, best = self.refine(tiny_stage, "residue", start,
+                                               x, score, grid=grid)
+        assert (calls, accepted, best) == (404, 14, 0.06535489219054771)
+        assert self.level_indices(tiny_stage, p, grid) == {
+            "w1": [[7, 13, 13, 15, 0], [9, 6, 6, 6, 6], [6, 6, 6, 6, 9]],
+            "b1": [13, 13, 15, 13, 11],
+            "w2": [[11], [0], [0], [6], [15]], "b2": [9]}
+
+    @pytest.mark.parametrize("kind", ["subadc", "residue"])
+    def test_score_sees_the_inference_output(self, tiny_stage, kind):
+        """``score`` receives a (points, outputs) batch, and the batch of
+        the last accepted move is the refined network's inference output.
+
+        Refinement updates the output pre-activations one column or entry
+        at a time, so residue outputs agree with a fresh forward pass to
+        rounding; the sub-ADC's comparator outputs agree exactly.
+        """
+        start, x, score = getattr(self, f"{kind}_case")(tiny_stage)
+        seen, best = [], [np.inf]
+
+        def recording(out):
+            s = score(out)
+            assert out.shape == (x.shape[0], start.w2.shape[1])
+            if s < best[0]:
+                best[0] = s
+                seen.append(np.array(out))
+            return s
+
+        p = refine_discrete(start, tiny_stage.grid, tiny_stage.bias_drive,
+                            tiny_stage.family, kind, tiny_stage.spec.vdd, x,
+                            recording, passes=1)
+        assert len(seen) > 1
+        want = forward_stage(p, x, tiny_stage.family, "infer", kind,
+                             tiny_stage.spec.vdd)
+        if kind == "subadc":
+            np.testing.assert_array_equal(seen[-1], want)
+        else:
+            np.testing.assert_allclose(seen[-1], want, rtol=0, atol=1e-14)
 
 
 class TestInstantiationEquivalence:
