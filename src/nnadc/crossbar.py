@@ -121,13 +121,19 @@ def vmm(layer: CrossbarLayer, v_in: np.ndarray,
     ``v_in`` is a batch of signal-row voltages, one row of rows-1 entries
     per sample; the bias row is driven at the layer's own bias voltage.
     ``out``, if given, receives the batch-by-cols result and is returned.
+    A layer with one signal row is an outer product; its ``+ 0.0`` turns
+    a -0.0 product into +0.0, as matmul's ``0 + v*w`` does.
     """
     w = layer.weights
     v = np.asarray(v_in, dtype=float)
     if v.ndim != 2 or v.shape[1] != layer.rows - 1:
         raise ShapeError(f"expected a batch of {layer.rows - 1} input "
                          f"voltages, got shape {v.shape}")
-    out = np.matmul(v, w[:-1], out=out)
+    if v.shape[1] == 1:
+        out = np.multiply(v, w[0], out=out)
+        out += 0.0
+    else:
+        out = np.matmul(v, w[:-1], out=out)
     out += layer.bias_voltage * w[-1]
     return out
 

@@ -4,6 +4,11 @@ Stages are chained: each resolves its level and hands a residue to the
 next; the digital combiner concatenates the per-stage levels MSB first.
 Behavioral stages evaluate through their instantiated crossbar layers,
 so Monte Carlo resistance perturbation flows into the conversion.
+
+Behavioral work buffers are column-major, so each voltage, neuron and
+comparator-bit column is contiguous over the samples, except the hidden
+buffer of a one-column output layer: numpy runs that product as a gemv,
+whose summation order follows its input's memory order.
 """
 
 from __future__ import annotations
@@ -74,15 +79,16 @@ class PipelineConfig:
         return self.stages[0].spec.vdd
 
 
-def _work(bufs: dict, key: str, shape: tuple) -> np.ndarray:
-    """Work buffer ``key`` of ``shape`` from a per-call pool.
+def _work(bufs: dict, key: str, shape: tuple, order: str = "F") -> np.ndarray:
+    """Work buffer ``key`` of ``shape`` and ``order`` from a per-call pool.
 
     Stages of one conversion share the pool; every buffer's contents are
     dead before the next stage, or the next network, writes it again.
+    Only a gemv's input is row-major ("C"), as the module docstring says.
     """
-    buf = bufs.get((key, shape))
+    buf = bufs.get((key, shape, order))
     if buf is None:
-        buf = bufs[key, shape] = np.empty(shape)
+        buf = bufs[key, shape, order] = np.empty(shape, order=order)
     return buf
 
 
@@ -95,7 +101,8 @@ def _net(layers, x: np.ndarray, nominal, bufs: dict) -> np.ndarray:
     """Output-column voltages of one two-crossbar network."""
     l1, l2 = layers
     n = x.shape[0]
-    h = vmm(l1, x, out=_work(bufs, "hidden", (n, l1.cols)))
+    order = "C" if l2.cols == 1 else "F"
+    h = vmm(l1, x, out=_work(bufs, "hidden", (n, l1.cols), order))
     vtc_eval(nominal, h, out=h)
     return vmm(l2, h, out=_work(bufs, "out", (n, l2.cols)))
 

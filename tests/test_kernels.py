@@ -1,19 +1,21 @@
 """Bit-exactness of the fast numeric kernels against their reference formulas.
 
 ``vtc._logistic`` and ``signal_core.smooth_decode_array`` run in every
-refinement candidate and every conversion, and ``trainer.refine_discrete``
-computes a lattice line of candidates with one stacked matmul.  Their fast
-forms must give exactly the results of the straightforward formulas kept
-below, so that trained weights, refinement counters and pipeline codes
-never move.
+refinement candidate and every conversion, ``trainer.refine_discrete``
+computes a lattice line of candidates with one stacked matmul, and
+``pipeline.convert`` runs its crossbar products on column-major batches.
+Their fast forms must give exactly the results of the straightforward
+formulas kept below, so that trained weights, refinement counters and
+pipeline codes never move.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nnadc.crossbar import DeviceGrid
+from nnadc.crossbar import CrossbarLayer, DeviceGrid
 from nnadc.signal_core import StageSpec, smooth_decode_array
 from nnadc.vtc import _logistic
 
@@ -131,3 +133,46 @@ class TestStackedGemv:
             "stacked matmul no longer matches the per-candidate gemv: "
             "trainer.refine_discrete would score different candidate "
             "outputs and move the trained weights")
+
+
+def column_major_products():
+    """(signal rows, cols) of every multi-column crossbar product that
+    ``pipeline._work`` runs on column-major buffers, for the 1-, 2- and
+    3-bit default topologies: the sub-ADC output layer, fed by the hidden
+    VTC outputs, and the residue input layer, fed by a voltage column and
+    the comparator bits."""
+    for n in (1, 2, 3):
+        spec = StageSpec(resolution_bits=n)
+        yield "subadc", spec.subadc_hidden, spec.smooth_width
+        yield "residue", 1 + spec.smooth_width, spec.residue_hidden
+
+
+class TestColumnMajorMatmul:
+    @pytest.mark.parametrize("net,k,m", list(column_major_products()))
+    def test_matches_row_major(self, net, k, m):
+        """A column-major batch gives the row-major product's bits, into a
+        column-major output (sub-ADC) or a row-major one (the residue
+        hidden buffer, which feeds a gemv).  Weights come from random
+        conductances of a (k + 1)-row crossbar, as after a Monte Carlo
+        perturbation."""
+        rng = np.random.default_rng(k * 10 + m)
+        grid = DeviceGrid()
+        for _ in range(20):
+            if net == "subadc":  # hidden VTC outputs, rails included
+                x = rng.uniform(0.0, 2.5, size=(4096, k))
+                x[rng.random(x.shape) < 0.3] = 0.0
+                x[rng.random(x.shape) < 0.3] = 2.5
+            else:
+                bits = 2.5 * (rng.random((4096, k - 1)) < 0.5)
+                x = np.hstack([rng.uniform(0.0, 1.0, (4096, 1)), bits])
+            g = rng.uniform(grid.g_off, grid.g_on, size=(2, k + 1, m))
+            w = CrossbarLayer(g_u=g[0], g_l=g[1], grid=grid).weights[:-1]
+            want = x @ w
+            xf = np.asfortranarray(x)
+            for order in ("F", "C"):
+                got = np.matmul(xf, w, out=np.empty((4096, m), order=order))
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64)), (
+                    f"{net} {k}->{m}: a column-major batch into a {order} "
+                    f"output no longer gives the row-major product's bits: "
+                    f"pipeline._work's layout would move the codes")

@@ -136,6 +136,19 @@ def mixed_pipeline(tiny_stage):
                           enc=EncodingScheme())
 
 
+@pytest.fixture(scope="module")
+def three_bit_stage():
+    """A tiny 3-bit stage: a 1->6->4 sub-ADC and a 5->9->1 residue net."""
+    stage = train_stage(StageSpec(resolution_bits=3), EncodingScheme(),
+                        default_family(1.0, n=10, seed=3), DeviceGrid(),
+                        TINY)
+    assert [(l.rows - 1, l.cols) for l in stage.subadc_layers] == [(1, 6),
+                                                                   (6, 4)]
+    assert [(l.rows - 1, l.cols) for l in stage.residue_layers] == [(5, 9),
+                                                                    (9, 1)]
+    return stage
+
+
 SPECIAL_V = [np.nan, np.inf, -np.inf, -1e300, 1e300, -0.0, 5e-324]
 
 
@@ -192,6 +205,22 @@ class TestConvertMatchesReference:
         assert_same_bits(res, want_res)
         p = PipelineConfig(stages=(stage,) * 4, enc=EncodingScheme())
         np.testing.assert_array_equal(convert(p, v), ref_convert(p, v))
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.2])
+    def test_three_bit_stage(self, three_bit_stage, sigma):
+        p = perturbed_pipeline(PipelineConfig(stages=(three_bit_stage,) * 4,
+                                              enc=EncodingScheme()),
+                               sigma, seed=11)
+        v = np.random.default_rng(4).uniform(-0.25, 1.25, 4097)
+        v[:len(SPECIAL_V)] = SPECIAL_V
+        np.testing.assert_array_equal(convert(p, v), ref_convert(p, v))
+        stage = p.stages[0]
+        lvl, res = stage_levels(stage, v, need_residue=True)
+        want_lvl, want_res = ref_stage(stage, v, True)
+        np.testing.assert_array_equal(lvl, want_lvl)
+        assert_same_bits(res, want_res)
+        assert repr(evaluate_stage(stage)) == repr(ref_stage_metrics(
+            stage, stage.subadc_layers, stage.residue_layers))
 
     def test_scalar_and_empty_inputs(self, mixed_pipeline):
         for v in (0.3, np.float64(0.7), np.array(0.1), np.empty(0)):
@@ -255,6 +284,31 @@ class TestInPlaceKernels:
         out = np.full(want.shape, np.nan)
         assert vmm(layer, v, out=out) is out
         assert_same_bits(out, want)
+        # the column-major batches of ``pipeline.convert``, against the
+        # allocating product of the same batch
+        v = np.asfortranarray(v)
+        want = ref_vmm(layer, v)
+        out = np.full(want.shape, np.nan,
+                      order=data.draw(st.sampled_from("CF")))
+        assert vmm(layer, v, out=out) is out
+        assert_same_bits(out, want)
+
+    @pytest.mark.parametrize("order", "CF")
+    def test_vmm_one_signal_row(self, order):
+        """The outer-product path: signed zeros, infinities and NaN through
+        weights of both signs and a 0 V bias row, as ``v @ w`` gives them."""
+        g = np.array([[1e-5, 1e-7, 5e-6], [1e-7, 1e-5, 5e-6]])
+        layer = CrossbarLayer(g_u=g, g_l=g[::-1], grid=DeviceGrid(),
+                              bias_voltage=0.0)
+        assert (np.sign(layer.weights) == [[1, -1, 0], [-1, 1, 0]]).all()
+        v = np.array([[-0.0], [0.0], [np.inf], [-np.inf], [np.nan], [0.4]])
+        out = np.full((6, 3), 7.0, order=order)
+        with np.errstate(invalid="ignore"):
+            want = ref_vmm(layer, v)
+            assert not np.signbit(want[:2]).any()  # matmul's 0 + v*w is +0
+            assert vmm(layer, v, out=out) is out
+            assert_same_bits(out, want)
+            assert_same_bits(vmm(layer, v), want)
 
     def test_vmm_rejects_0d(self):
         """Only a 2-D batch is an input: 0-D and 1-D are refused."""
