@@ -63,8 +63,8 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise DeviceError("sigma must be non-negative")
+        if not 0 <= self.sigma < np.inf:  # NaN fails both comparisons
+            raise DeviceError("sigma must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,10 @@ class CrossbarLayer:
         gl = np.asarray(self.g_l, dtype=float)
         if gu.shape != gl.shape or gu.ndim != 2:
             raise ShapeError("g_u and g_l must be equal-shape 2-D arrays")
-        if np.any(gu <= 0) or np.any(gl <= 0):
-            raise DeviceError("conductances must be positive")
+        # a NaN makes its array's min() and max() NaN, failing both tests
+        if gu.size and not (0 < gu.min() and 0 < gl.min()
+                            and gu.max() < np.inf and gl.max() < np.inf):
+            raise DeviceError("conductances must be positive and finite")
         # private read-only copies: ``weights`` is computed from them once
         for name, g in (("g_u", gu), ("g_l", gl)):
             g = g.copy()
@@ -183,8 +185,8 @@ def perturb_resistances(layer: CrossbarLayer,
     if spec.sigma == 0:
         return layer
     rng = np.random.default_rng(spec.seed)
-    theta_u = rng.normal(0.0, spec.sigma, size=layer.g_u.shape)
-    theta_l = rng.normal(0.0, spec.sigma, size=layer.g_l.shape)
+    # theta_u then theta_l, from one draw: the same stream as two draws
+    theta = rng.normal(0.0, spec.sigma, size=(2, *layer.g_u.shape))
     # resistance scales by e^theta, hence conductance by e^-theta
-    return replace(layer, g_u=layer.g_u * np.exp(-theta_u),
-                   g_l=layer.g_l * np.exp(-theta_l))
+    return replace(layer, g_u=layer.g_u * np.exp(-theta[0]),
+                   g_l=layer.g_l * np.exp(-theta[1]))

@@ -54,6 +54,9 @@ class McEvalSpec:
     def __post_init__(self):
         if self.runs < 1:
             raise ConfigError("need at least one Monte Carlo run")
+        if not 0 <= self.sigma < np.inf:  # NaN fails both comparisons
+            raise ConfigError("Monte Carlo sigma must be non-negative and "
+                              "finite")
 
 
 @dataclass(frozen=True)

@@ -269,7 +269,11 @@ def refine_discrete(params: MlpParams, grid: DeviceGrid, bias_drive: float,
     exact: a hidden column's candidates all add to the same ``base``, an
     accepted output move changes only output ``o``, which the entry's
     later candidates overwrite, and a stacked matmul runs one gemv per
-    candidate, equal to its ``x @ w`` bit for bit (a gemm is not).
+    candidate, equal to its ``x @ w`` bit for bit (a gemm is not).  On a
+    bias line (its weight rows all equal: every line of a joint lattice,
+    and the bias column of a single-coordinate one) that gemv is the
+    same for every candidate, so it runs once and the bias drives are
+    added to it; addition commutes, so the sums keep their bits.
 
     ``score`` maps the (points, outputs) batch for inputs ``x`` to a float.
     """
@@ -285,6 +289,7 @@ def refine_discrete(params: MlpParams, grid: DeviceGrid, bias_drive: float,
     # point-last layouts: a line's outputs are (candidate, output, point)
     h, pre2 = h.T.copy(), pre2.T.copy()
     outs = np.empty((len(lev1), *pre2.shape))
+    bias_hs = np.empty((len(lev1), x.shape[0]))  # a bias line's outputs
     # Joint column enumeration is what repairs coarse lattices, but it
     # grows as 2^(A_R·(n_in+1)); past a few thousand combinations the
     # lattice is fine enough for single-coordinate moves.
@@ -308,8 +313,13 @@ def refine_discrete(params: MlpParams, grid: DeviceGrid, bias_drive: float,
                 for c in range(n_in + 1):
                     combos[c * len(lev1):(c + 1) * len(lev1), c] = lev1
             for block in np.split(combos, len(combos) // len(lev1)):
-                hs = np.matmul(x[None], block[:, :-1, None])[..., 0]
-                hs += block[:, -1:] * bias_drive
+                ws = block[:, :-1]
+                if (ws == ws[0]).all():  # a bias line
+                    hs = np.add(x @ ws[0], block[:, -1:] * bias_drive,
+                                out=bias_hs)
+                else:
+                    hs = np.matmul(x[None], ws[..., None])[..., 0]
+                    hs += block[:, -1:] * bias_drive
                 vtc_eval(nom, hs, out=hs)
                 np.multiply(w2j, hs[:, None], out=outs)
                 outs += base

@@ -128,6 +128,21 @@ class TestPipelineCommands:
         assert res.exit_code == 0, res.output
         assert (workdir["out"] / "spectrum.csv").exists()
 
+    @pytest.mark.parametrize("sigma", ["nan", "-0.1"])
+    def test_bad_mc_sigma_exit_code(self, runner, workdir, sigma):
+        stage = train_one(runner, workdir)
+        res = runner.invoke(main, [
+            "build-pipeline", "--config", str(workdir["cfg"]),
+            "--stages", str(stage)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, [
+            "mc-eval", "--config", str(workdir["cfg"]),
+            "--pipeline", str(workdir["out"] / "pipeline.json"),
+            "--sigma", sigma])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "error: Monte Carlo sigma" in res.output
+        assert not (workdir["out"] / "mc_eval.csv").exists()
+
     def test_other_nnadc_error_exit_code(self, runner, workdir):
         stage = train_one(runner, workdir)
         res = runner.invoke(main, [

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nnadc.crossbar import (
     CrossbarLayer,
@@ -72,6 +75,14 @@ class TestWeightsFromConductances:
         with pytest.raises(DeviceError):
             CrossbarLayer(g_u=np.zeros((2, 1)), g_l=np.ones((2, 1)) * 1e-6,
                           grid=SPEC_GRID)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-6])
+    @pytest.mark.parametrize("which", ["g_u", "g_l"])
+    def test_rejects_non_finite(self, bad, which):
+        g = {"g_u": np.full((3, 2), 1e-6), "g_l": np.full((3, 2), 2e-6)}
+        g[which][1, 1] = bad
+        with pytest.raises(DeviceError):
+            CrossbarLayer(grid=SPEC_GRID, **g)
 
 
 class TestVmm:
@@ -157,6 +168,19 @@ class TestQuantizeWeight:
                                      atol=1e-15).any(axis=1))
 
 
+    @settings(deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 9),
+           hnp.arrays(np.float64, st.integers(1, 32),
+                      elements=st.floats(-1.5, 1.5)))
+    def test_idempotent_onto_weight_levels(self, bits, fan_in, u):
+        """Any weight, inside the range or clipped, lands exactly on a
+        level of ``weight_levels``, and quantizing again moves no bit."""
+        grid = DeviceGrid(precision_bits=bits)
+        q = quantize_weight(u * grid.w_max(fan_in), grid, fan_in)
+        assert np.isin(q, grid.weight_levels(fan_in)).all()
+        assert np.array_equal(quantize_weight(q, grid, fan_in), q)
+
+
 class TestInstantiateConductances:
     def test_extreme_weight_pair(self):
         wm = SPEC_GRID.w_max(1)
@@ -211,6 +235,22 @@ class TestPerturbResistances:
             quantize_weight(np.array([[0.1], [0.05]]), SPEC_GRID, 2),
             SPEC_GRID)
         assert perturb_resistances(layer, PerturbationSpec(0.0, 1)) is layer
+
+    @pytest.mark.parametrize("sigma", [-0.1, np.nan, np.inf])
+    def test_rejects_bad_sigma(self, sigma):
+        with pytest.raises(DeviceError):
+            PerturbationSpec(sigma, 0)
+
+    def test_draw_order(self):
+        """theta_u is drawn before theta_l, each in row-major order."""
+        g = np.full((3, 2), 5e-6)
+        layer = CrossbarLayer(g_u=g, g_l=g, grid=SPEC_GRID)
+        pert = perturb_resistances(layer, PerturbationSpec(0.1, 5))
+        rng = np.random.default_rng(5)
+        theta_u = rng.normal(0.0, 0.1, size=g.shape)
+        theta_l = rng.normal(0.0, 0.1, size=g.shape)
+        assert np.array_equal(pert.g_u, g * np.exp(-theta_u))
+        assert np.array_equal(pert.g_l, g * np.exp(-theta_l))
 
     def test_known_resistance_scaling(self):
         # R = 10 kOhm with theta = 0.05 becomes 10.513 kOhm

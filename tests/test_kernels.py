@@ -2,8 +2,9 @@
 
 ``vtc._logistic`` and ``signal_core.smooth_decode_array`` run in every
 refinement candidate and every conversion, ``trainer.refine_discrete``
-computes a lattice line of candidates with one stacked matmul, and
-``pipeline.convert`` runs its crossbar products on column-major batches.
+computes a lattice line of candidates with one stacked matmul (one gemv
+on a bias line), and ``pipeline.convert`` runs its crossbar products on
+column-major batches.
 Their fast forms must give exactly the results of the straightforward
 formulas kept below, so that trained weights, refinement counters and
 pipeline codes never move.
@@ -79,6 +80,10 @@ SPECS = [
     StageSpec(resolution_bits=2, smooth_width=5,
               code_table=((0, 0, 0, 0, 0), (0, 0, 1, 1, 0),
                           (1, 1, 1, 0, 0), (1, 1, 1, 1, 1))),
+    # a code bit of 2, and a last column that repeats the first
+    StageSpec(resolution_bits=2, smooth_width=4,
+              code_table=((0, 0, 0, 0), (0, 2, 0, 0),
+                          (1, 1, 0, 1), (1, 1, 1, 1))),
 ]
 
 
@@ -86,12 +91,17 @@ SPECS = [
 def bit_batches(draw):
     spec = draw(st.sampled_from(SPECS))
     shape = (draw(st.integers(0, 48)), spec.smooth_width)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["soft", "hard", "special", "int", "bool"]))
+    if kind == "soft":
         bits = draw(hnp.arrays(np.float64, shape,
                                elements=st.floats(0.0, 1.0)))
+    elif kind == "special":  # NaN and infinite bits among soft ones
+        bits = draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+            st.floats(0.0, 1.0), st.sampled_from([np.nan, np.inf, -np.inf]))))
     else:
         bits = draw(hnp.arrays(np.int64, shape,
-                               elements=st.integers(0, 1))).astype(float)
+                               elements=st.integers(0, 1)))
+        bits = bits.astype({"hard": float, "int": np.int64, "bool": bool}[kind])
     return spec, bits
 
 
@@ -104,6 +114,16 @@ class TestSmoothDecodeArray:
         want = reference_smooth_decode(bits, spec)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+
+    def test_list_table_hashes_and_decodes_as_tuple(self):
+        table = ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1))
+        listed = StageSpec(resolution_bits=2, code_table=[list(c)
+                                                          for c in table])
+        tupled = StageSpec(resolution_bits=2, code_table=table)
+        assert hash(listed) == hash(tupled) and listed == tupled
+        bits = np.random.default_rng(3).random((256, 3))
+        np.testing.assert_array_equal(smooth_decode_array(bits, listed),
+                                      smooth_decode_array(bits, tupled))
 
     def test_explicit_ties(self):
         spec = StageSpec(resolution_bits=2)
@@ -133,6 +153,57 @@ class TestStackedGemv:
             "stacked matmul no longer matches the per-candidate gemv: "
             "trainer.refine_discrete would score different candidate "
             "outputs and move the trained weights")
+
+
+def lattice_lines(n_bits, net):
+    """Input batch and bias lines of ``trainer.refine_discrete``'s hidden
+    column lattice for the default ``n_bits`` topology: every line of a
+    joint lattice, or the bias line of a single-coordinate one at a few
+    random column starts.  A line holds the (weights, bias level) of
+    its candidates; the bias level varies fastest."""
+    rng = np.random.default_rng(n_bits)
+    spec = StageSpec(resolution_bits=n_bits)
+    v = (np.arange(2048) / 2048.0)[:, None]
+    if net == "subadc":
+        x = v
+    else:
+        x = np.hstack([v, 2.5 * (rng.random((2048, spec.smooth_width))
+                                 < 0.5)])
+    n_in = x.shape[1]
+    lev = DeviceGrid().weight_levels(n_in + 1)
+    if len(lev) ** (n_in + 1) <= 4096:
+        combos = np.stack(np.meshgrid(*([lev] * (n_in + 1)), indexing="ij"),
+                          -1).reshape(-1, n_in + 1)
+        return x, np.split(combos, len(combos) // len(lev))
+    lines = []
+    for _ in range(20):
+        line = np.tile(rng.choice(lev, n_in + 1), (len(lev), 1))
+        line[:, -1] = lev
+        lines.append(line)
+    return x, lines
+
+
+class TestBiasLineGemv:
+    @pytest.mark.parametrize("n_bits,net", [(1, "subadc"), (1, "residue"),
+                                            (2, "residue"), (3, "residue")])
+    def test_matches_stacked_gemv(self, n_bits, net):
+        """On a line whose weight rows are all equal, one ``x @ w`` plus
+        each bias drive gives the stacked gemv's bits: fan-in 2 and 4
+        joint lattices, and the bias column of fan-in 5 and 6."""
+        x, lines = lattice_lines(n_bits, net)
+        drive = 2.5
+        for block in lines:
+            ws = block[:, :-1]
+            assert (ws == ws[0]).all()
+            want = np.matmul(x[None], ws[..., None])[..., 0]
+            want += block[:, -1:] * drive
+            got = np.add(x @ ws[0], block[:, -1:] * drive,
+                         out=np.empty_like(want))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (
+                f"{n_bits}-bit {net}: one gemv per bias line no longer "
+                f"matches the stacked gemv: trainer.refine_discrete would "
+                f"score different candidate outputs and move the trained "
+                f"weights")
 
 
 def column_major_products():

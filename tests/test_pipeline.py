@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nnadc.crossbar import PerturbationSpec, perturb_resistances
+from nnadc.dse import MAX_RESO
 from nnadc.errors import ConfigError
 from nnadc.metrics import enob_of_codes
 from nnadc.pipeline import (
@@ -69,6 +73,21 @@ class TestIdealEquivalence:
         got = convert(p, v, mode="ideal")
         want = ideal_adc(v, reso, ENC)
         np.testing.assert_array_equal(got, want)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=8)
+           .filter(lambda comp: sum(comp) <= MAX_RESO),
+           hnp.arrays(np.float64, st.integers(1, 64),
+                      elements=st.floats(0.0, VDD)))
+    def test_any_composition_matches_flat_quantizer(self, comp, v):
+        reso = sum(comp)
+        # drop float near-ties at a code boundary; the boundaries
+        # themselves are exact and stay
+        edges = np.round(v * (1 << reso)) / (1 << reso)
+        v = v[(v == edges) | (np.abs(v - edges) > 1e-9 * VDD)]
+        np.testing.assert_array_equal(convert(ideal_pipeline(comp), v,
+                                              mode="ideal"),
+                                      ideal_adc(v, reso, ENC))
 
     def test_mixed_with_terminal_subadc(self):
         p = ideal_pipeline((1, 2, 3))
@@ -186,3 +205,6 @@ class TestBehavioral:
     def test_mc_spec_validation(self):
         with pytest.raises(ConfigError):
             McEvalSpec(runs=0)
+        for sigma in (-0.1, np.nan, np.inf):
+            with pytest.raises(ConfigError):
+                McEvalSpec(sigma=sigma)
