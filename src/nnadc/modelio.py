@@ -76,9 +76,7 @@ def _spec_dict(spec: StageSpec) -> dict:
 
 
 def _spec_from_dict(d: dict) -> StageSpec:
-    # tuples keep the frozen spec hashable
-    table = tuple(tuple(code) for code in d.get("code_table", ()))
-    return StageSpec(**{**d, "code_table": table})
+    return StageSpec(**d)
 
 
 def _enc_dict(enc: EncodingScheme) -> dict:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Literal
 
 import numpy as np
@@ -66,7 +65,7 @@ class StageSpec:
             object.__setattr__(self, "subadc_hidden", hf)
         if self.residue_hidden == 0:
             object.__setattr__(self, "residue_hidden", hr)
-        # a tuple of tuples hashes, so a caller's list table caches
+        # a tuple of tuples keeps the frozen spec hashable
         object.__setattr__(self, "code_table",
                            tuple(map(tuple, self.code_table)))
         if self.smooth_width <= n:
@@ -186,53 +185,37 @@ def ideal_adc(v, m: int, enc: EncodingScheme):
     return value
 
 
-@lru_cache(maxsize=32)
-def _decode_plan(codes: tuple) -> tuple:
-    """Distinct ``(column, code bit)`` terms of a code table, and each
-    level's term indices in column order.  A bit's type is part of its
-    key, so 1 and 1.0 stay apart and each term keeps its own dtype."""
-    terms = {}
-    levels = tuple(tuple(terms.setdefault((k, c, type(c)), len(terms))
-                         for k, c in enumerate(code)) for code in codes)
-    return tuple(terms), levels
-
-
 def smooth_decode_array(bits: np.ndarray, spec: StageSpec) -> np.ndarray:
     """Nearest-codeword decode of a (batch, S) bit array to stage levels.
 
-    Soft bits decode to the level at the least L1 distance.  A plan,
-    cached per code table, lists the table's distinct ``(column, code
-    bit)`` terms; each ``|bit - c|`` is computed once and shared by
-    every level whose code has bit c in that column.  The subtraction
-    runs even for c = 0, so int and bool bits keep numpy's dtype rules.
-    Each level's distance sums its terms column by column, left to
-    right, which is numpy's own summation order below 8 terms; a custom
-    code table 8 or more bits wide may therefore resolve exact-arithmetic
-    ties differently from a numpy ``sum``.  A 2-level table decodes with
-    one strict ``<``; wider tables keep a running strict ``<`` minimum.
-    Either way a tie goes to the lower level, as with ``argmin``, and a
-    row with a NaN bit goes to level 0.
+    Soft bits decode to the level at the least L1 distance.  Each
+    level's distance is summed column by column, left to right, which is
+    numpy's own summation order below 8 terms; a custom code table 8 or
+    more bits wide may therefore resolve exact-arithmetic ties
+    differently from a numpy ``sum``.  A running strict ``<`` minimum
+    sends ties to the lower level, as ``argmin`` does; a 2-level table
+    (the 1-bit stage) needs only its one strict ``<``.  A row with a NaN
+    bit goes to level 0.
     """
     bits = np.asarray(bits)
     if bits.ndim != 2 or bits.shape[1] != spec.smooth_width:
         raise ShapeError(f"expected a (batch, {spec.smooth_width}) bit "
                          f"array, got shape {bits.shape}")
-    terms, levels = _decode_plan(spec.codes())
-    cols = bits.T
-    terms = [np.abs(cols[k] - c) for k, c, _ in terms]
-    dists = []
-    for ids in levels:
-        dist = terms[ids[0]] + terms[ids[1]]
-        for i in ids[2:]:
-            dist += terms[i]
-        dists.append(dist)
-    if len(dists) == 2:
-        return np.less(dists[1], dists[0]).astype(np.intp)
-    best = dists[0]
+    cols = list(bits.T)
+    codes = spec.codes()
     level = np.zeros(bits.shape[0], dtype=np.intp)
-    for lv, dist in enumerate(dists[1:], 1):
-        np.putmask(level, dist < best, lv)
-        np.minimum(best, dist, out=best)
+    best = None
+    for lv, code in enumerate(codes):
+        dist = np.abs(cols[0] - code[0])
+        for col, c in zip(cols[1:], code[1:]):
+            dist += np.abs(col - c)
+        if best is None:
+            best = dist
+        elif len(codes) == 2:
+            return np.less(dist, best).astype(np.intp)
+        else:
+            level[dist < best] = lv
+            np.minimum(best, dist, out=best)
     return level
 
 

@@ -17,6 +17,7 @@ import numpy as np
 from .config import ExperimentConfig, split_seed
 # perfbench/tracing.py patches these names, so they stay importable here
 from .crossbar import perturb_resistances  # noqa: F401
+from .errors import ConfigError
 from .pipeline import perturbed_stage
 from .signal_core import smooth_decode_array  # noqa: F401
 from .trainer import TrainedStage, evaluate_stage
@@ -56,6 +57,9 @@ def precision_sweep(cfg: ExperimentConfig, resolutions, precisions,
     from .signal_core import StageSpec
     from .trainer import train_stage
 
+    # refused before any training, as McEvalSpec refuses it for mc-eval
+    if not 0 <= sigma < np.inf:  # NaN fails both comparisons
+        raise ConfigError("sweep sigma must be non-negative and finite")
     family = cfg.family()
     rows = []
     for n_bits in resolutions:

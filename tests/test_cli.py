@@ -271,3 +271,15 @@ class TestSweep:
         assert len(rows) == 3
         ars = [int(r.split(",")[1]) for r in rows[1:]]
         assert ars == [2, 3]
+
+    @pytest.mark.parametrize("sigma", ["nan", "-0.1"])
+    def test_bad_sigma_exit_code(self, runner, workdir, monkeypatch, sigma):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a bad sigma must be refused before training")
+        monkeypatch.setattr("nnadc.trainer.train_stage", no_training)
+        res = runner.invoke(main, [
+            "sweep-precision", "--config", str(workdir["cfg"]),
+            "--n", "1", "--ar", "2", "--runs", "2", "--sigma", sigma])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert "error: sweep sigma" in res.output
+        assert not (workdir["out"] / "sweep_precision.csv").exists()

@@ -125,6 +125,20 @@ class TestSmoothDecodeArray:
         np.testing.assert_array_equal(smooth_decode_array(bits, listed),
                                       smooth_decode_array(bits, tupled))
 
+    def test_equal_tables_decode_independently(self):
+        """A table equal to another but for a float entry must not change
+        how the other decodes int bits afterwards."""
+        ints = ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1))
+        floats = ints[:3] + ((1, 1, 1.0),)
+        bits = np.random.default_rng(5).integers(0, 2, (64, 3))
+        smooth_decode_array(bits.astype(float),
+                            StageSpec(resolution_bits=2, code_table=floats))
+        spec = StageSpec(resolution_bits=2, code_table=ints)
+        got = smooth_decode_array(bits, spec)
+        want = reference_smooth_decode(bits, spec)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
     def test_explicit_ties(self):
         spec = StageSpec(resolution_bits=2)
         # 010 is 1 away from 000 and 011; 0.5 0.5 is 1 away from 00 and 11
