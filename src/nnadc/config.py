@@ -19,7 +19,8 @@ from .dse import CostTable
 from .errors import ConfigError, NnadcError
 from .signal_core import TONE_BIN, TONE_N, EncodingScheme
 from .trainer import TrainConfig
-from .vtc import VariationSpec, VtcFamily, nominal_vtc, sample_family
+from .vtc import (FAMILY_SIZE, S_REL_STD, V_M_STD_RATIO, VariationSpec,
+                  VtcFamily, nominal_vtc, sample_family)
 
 # Version of the experiment-config JSON format.  Model and manifest files
 # carry their own version, modelio.SCHEMA_VERSION.
@@ -58,9 +59,9 @@ def split_seed(master: int, name: str) -> int:
 class ExperimentConfig:
     vdd: float = 1.0
     grid: DeviceGrid = field(default_factory=DeviceGrid)
-    family_size: int = 100
-    v_m_std_ratio: float = 0.02   # of vdd
-    s_rel_std: float = 0.10
+    family_size: int = FAMILY_SIZE
+    v_m_std_ratio: float = V_M_STD_RATIO   # of vdd
+    s_rel_std: float = S_REL_STD
     train: TrainConfig = field(default_factory=TrainConfig)
     encoding: EncodingScheme = field(default_factory=EncodingScheme)
     stimulus_n: int = TONE_N

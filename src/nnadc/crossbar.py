@@ -170,10 +170,12 @@ def instantiate_conductances(weights, grid: DeviceGrid,
     wm = grid.w_max(h)
     idx = (w / wm * (q - 1) + (q - 1)) / 2.0
     a = np.round(idx)
-    if np.any(np.abs(idx - a) > _GRID_RTOL * (q - 1)) or np.any(a < 0) or np.any(a > q - 1):
-        bad = np.unravel_index(np.argmax(np.abs(idx - np.round(idx))), w.shape)
-        raise PrecisionError(f"weight at {bad} = {w[bad]!r} is not on the "
-                             f"{grid.precision_bits}-bit grid for fan-in {h}")
+    off = (np.abs(idx - a) > _GRID_RTOL * (q - 1)) | (a < 0) | (a > q - 1)
+    if off.any():
+        bad = tuple(map(int, np.argwhere(off)[0]))
+        raise PrecisionError(f"weight at {bad} = {float(w[bad])!r} is not on "
+                             f"the {grid.precision_bits}-bit grid for fan-in "
+                             f"{h}")
     g_u = grid.level(a)
     g_l = grid.level(q - 1 - a)
     return CrossbarLayer(g_u=g_u, g_l=g_l, grid=grid, bias_voltage=bias_voltage)

@@ -1,8 +1,10 @@
 """Model, pipeline and table files: versioned JSON on disk.
 
-Model files are human-readable JSON.  Conductances are stored as decimal
-text (``repr`` of the float) so they round-trip bit-exactly; numpy
-arrays become nested lists.
+Model files are human-readable JSON; numpy arrays become nested lists.
+A stage file stores each network once, as its on-grid weights, and the
+nominal inverter curve.  Loading rebuilds the crossbar conductances from
+the weights with the function training uses, so they come back bit for
+bit; an off-grid weight is a ``PrecisionError``.
 """
 
 from __future__ import annotations
@@ -11,20 +13,21 @@ import csv
 import hashlib
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .crossbar import CrossbarLayer, DeviceGrid
+from .crossbar import DeviceGrid
 from .dse import CostTable
 from .errors import ConfigError, ModelRefError
 from .pipeline import PipelineConfig
 from .signal_core import EncodingScheme, StageSpec
-from .trainer import MlpParams, TrainedStage
-from .vtc import VariationSpec, VtcFamily, VtcParams
+from .trainer import MlpParams, TrainedStage, instantiate_net
+from .vtc import VtcParams
 
 # Version of the model and manifest file format.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def canonical_json(obj) -> str:
@@ -56,58 +59,6 @@ def _read_model(path, kind: str, build):
                             f"{type(exc).__name__}: {exc}") from exc
 
 
-def _floats_to_text(arr: np.ndarray):
-    return [[repr(float(x)) for x in row] for row in np.atleast_2d(arr)]
-
-
-def _text_to_floats(rows) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in rows])
-
-
-def _spec_dict(spec: StageSpec) -> dict:
-    d = {"resolution_bits": spec.resolution_bits,
-         "smooth_width": spec.smooth_width,
-         "subadc_hidden": spec.subadc_hidden,
-         "residue_hidden": spec.residue_hidden,
-         "vdd": spec.vdd}
-    if spec.code_table:
-        d["code_table"] = [list(code) for code in spec.code_table]
-    return d
-
-
-def _spec_from_dict(d: dict) -> StageSpec:
-    return StageSpec(**d)
-
-
-def _enc_dict(enc: EncodingScheme) -> dict:
-    return {"kind": enc.kind, "v_min": enc.v_min, "v_max": enc.v_max}
-
-
-def _grid_dict(grid: DeviceGrid) -> dict:
-    return {"g_off": grid.g_off, "g_on": grid.g_on,
-            "precision_bits": grid.precision_bits}
-
-
-def _family_dict(family: VtcFamily) -> dict:
-    nom = family.nominal
-    return {
-        "seed": family.seed,
-        "variation": {"v_m_std": family.variation.v_m_std,
-                      "s_rel_std": family.variation.s_rel_std},
-        "nominal": {"v_m": nom.v_m, "s": nom.s, "v_high": nom.v_high,
-                    "v_low": nom.v_low},
-        "members": [[p.v_m, p.s, p.v_high, p.v_low] for p in family.members],
-    }
-
-
-def _family_from_dict(d: dict) -> VtcFamily:
-    nom = VtcParams(**d["nominal"])
-    members = tuple(VtcParams(v_m=m[0], s=m[1], v_high=m[2], v_low=m[3])
-                    for m in d["members"])
-    return VtcFamily(members=members, nominal=nom, seed=d["seed"],
-                     variation=VariationSpec(**d["variation"]))
-
-
 def _params_dict(p: MlpParams) -> dict:
     return {"w1": p.w1.tolist(), "b1": p.b1.tolist(),
             "w2": p.w2.tolist(), "b2": p.b2.tolist(),
@@ -120,63 +71,46 @@ def _params_from_dict(d: dict) -> MlpParams:
                      vtc_assignment=np.array(d["vtc_assignment"], dtype=int))
 
 
-def _layer_dict(layer: CrossbarLayer) -> dict:
-    return {"g_u_siemens": _floats_to_text(layer.g_u),
-            "g_l_siemens": _floats_to_text(layer.g_l),
-            "grid": _grid_dict(layer.grid),
-            "bias_voltage": layer.bias_voltage}
-
-
-def _layer_from_dict(d: dict) -> CrossbarLayer:
-    return CrossbarLayer(g_u=_text_to_floats(d["g_u_siemens"]),
-                         g_l=_text_to_floats(d["g_l_siemens"]),
-                         grid=DeviceGrid(**d["grid"]),
-                         bias_voltage=d["bias_voltage"])
-
-
-def save_stage(stage: TrainedStage, path, run_hash: str = "",
-               extra: dict | None = None) -> None:
+def save_stage(stage: TrainedStage, path, run_hash: str = "") -> None:
     data = {
         "schema_version": SCHEMA_VERSION,
         "kind": "stage",
         "config_hash": run_hash,
-        "spec": _spec_dict(stage.spec),
-        "encoding": _enc_dict(stage.enc),
-        "grid": _grid_dict(stage.grid),
+        "spec": asdict(stage.spec),
+        "encoding": asdict(stage.enc),
+        "nominal": asdict(stage.nominal),
+        "grid": asdict(stage.grid),
         "bias_drive": stage.bias_drive,
-        "family": _family_dict(stage.family),
         "subadc": _params_dict(stage.subadc),
-        "subadc_layers": [_layer_dict(l) for l in stage.subadc_layers],
         "residue": _params_dict(stage.residue) if stage.residue else None,
-        "residue_layers": ([_layer_dict(l) for l in stage.residue_layers]
-                           if stage.residue_layers else None),
         "metrics": stage.train_metrics,
     }
-    if extra:
-        data.update(extra)
     Path(path).write_text(json.dumps(data, indent=1))
 
 
 def load_stage(path, check_hash: str | None = None) -> TrainedStage:
-    """Stage model file, refused unless built from config ``check_hash``."""
+    """Stage model file, refused unless built from config ``check_hash``.
+
+    Both networks' crossbars are rebuilt from their stored weights.
+    """
     def build(data):
         if check_hash not in (None, data.get("config_hash", "")):
             raise ModelRefError(f"stage model {path} was built from a "
                                 "different configuration")
-        residue = data["residue"]
+        grid = DeviceGrid(**data["grid"])
+        bias_drive = data["bias_drive"]
+        subadc = _params_from_dict(data["subadc"])
+        residue = (_params_from_dict(data["residue"])
+                   if data["residue"] is not None else None)
         return TrainedStage(
-            spec=_spec_from_dict(data["spec"]),
+            spec=StageSpec(**data["spec"]),
             enc=EncodingScheme(**data["encoding"]),
-            family=_family_from_dict(data["family"]),
-            grid=DeviceGrid(**data["grid"]),
-            bias_drive=data["bias_drive"],
-            subadc=_params_from_dict(data["subadc"]),
-            subadc_layers=tuple(_layer_from_dict(l)
-                                for l in data["subadc_layers"]),
-            residue=_params_from_dict(residue) if residue else None,
-            residue_layers=(tuple(_layer_from_dict(l)
-                                  for l in data["residue_layers"])
-                            if data["residue_layers"] else None),
+            nominal=VtcParams(**data["nominal"]),
+            grid=grid, bias_drive=bias_drive, subadc=subadc,
+            subadc_layers=instantiate_net(subadc, grid, bias_drive),
+            residue=residue,
+            residue_layers=(instantiate_net(residue, grid, bias_drive)
+                            if residue else None),
             train_metrics=data.get("metrics", {}),
         )
     return _read_model(path, "stage", build)
@@ -190,7 +124,7 @@ def save_pipeline(path, stage_paths, enc: EncodingScheme,
         "schema_version": SCHEMA_VERSION,
         "kind": "pipeline",
         "config_hash": run_hash,
-        "encoding": _enc_dict(enc),
+        "encoding": asdict(enc),
         "stages": [os.path.relpath(p, Path(path).parent)
                    for p in stage_paths],
     }

@@ -121,7 +121,7 @@ def stage_forward(stage, inp: np.ndarray, res_out, bufs: dict) -> np.ndarray:
     """
     if isinstance(stage, IdealStage):
         raise ConfigError("behavioral mode needs a trained stage")
-    spec, nominal = stage.spec, stage.family.nominal
+    spec, nominal = stage.spec, stage.nominal
     pre2 = _net(stage.subadc_layers, inp[:, :1], nominal, bufs)
     unit_bits = np.greater(pre2, spec.vdd / 2.0, out=pre2)
     lvl = signal_core.smooth_decode_array(unit_bits, spec)

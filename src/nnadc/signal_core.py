@@ -197,7 +197,7 @@ def smooth_decode_array(bits: np.ndarray, spec: StageSpec) -> np.ndarray:
     (the 1-bit stage) needs only its one strict ``<``.  A row with a NaN
     bit goes to level 0.
     """
-    bits = np.asarray(bits)
+    bits = np.asarray(bits, dtype=float)
     if bits.ndim != 2 or bits.shape[1] != spec.smooth_width:
         raise ShapeError(f"expected a (batch, {spec.smooth_width}) bit "
                          f"array, got shape {bits.shape}")

@@ -384,7 +384,7 @@ class TrainedStage:
 
     spec: StageSpec
     enc: EncodingScheme
-    family: VtcFamily
+    nominal: VtcParams
     grid: DeviceGrid
     bias_drive: float
     subadc: MlpParams
@@ -398,8 +398,9 @@ class TrainedStage:
         return self.residue is not None
 
 
-def _instantiate_net(params: MlpParams, grid: DeviceGrid,
-                     bias_drive: float) -> tuple:
+def instantiate_net(params: MlpParams, grid: DeviceGrid,
+                    bias_drive: float) -> tuple:
+    """Both crossbar layers of an on-grid network (else ``PrecisionError``)."""
     w_full1 = np.vstack([params.w1, params.b1[None, :] / bias_drive])
     w_full2 = np.vstack([params.w2, params.b2[None, :] / bias_drive])
     return (instantiate_conductances(w_full1, grid, bias_voltage=bias_drive),
@@ -569,11 +570,12 @@ def train_stage(spec: StageSpec, enc: EncodingScheme, family: VtcFamily,
             spec.residue_hidden, 1, family, grid, config, bias_drive, vdd,
             rng_res, eval_x, res_out_score, passes=config.refine_passes,
             restarts=0, rng_hop=rng_hop)
-        residue_layers = _instantiate_net(residue, grid, bias_drive)
+        residue_layers = instantiate_net(residue, grid, bias_drive)
 
     stage = TrainedStage(
-        spec=spec, enc=enc, family=family, grid=grid, bias_drive=bias_drive,
-        subadc=subadc, subadc_layers=_instantiate_net(subadc, grid, bias_drive),
+        spec=spec, enc=enc, nominal=family.nominal, grid=grid,
+        bias_drive=bias_drive, subadc=subadc,
+        subadc_layers=instantiate_net(subadc, grid, bias_drive),
         residue=residue, residue_layers=residue_layers)
     stage.train_metrics = evaluate_stage(stage)
     return stage

@@ -25,6 +25,11 @@ from .errors import ConfigError
 SUPPLY_RATIO = 2.5
 # Nominal transition scale relative to vdd (peak inverter gain 15).
 TRANSITION_RATIO = 1.0 / 30.0
+# The standard Monte Carlo family: its size, the spread of v_m relative
+# to vdd and the relative spread of s.
+FAMILY_SIZE = 100
+V_M_STD_RATIO = 0.02
+S_REL_STD = 0.10
 
 
 @dataclass(frozen=True)
@@ -57,8 +62,6 @@ class VtcFamily:
 
     members: tuple
     nominal: VtcParams
-    seed: int = 0
-    variation: VariationSpec = VariationSpec()
 
     def __post_init__(self):
         if len(self.members) < 1:
@@ -140,12 +143,12 @@ def sample_family(n: int, variation: VariationSpec, seed: int,
                 s = rng.normal(nominal.s, variation.s_rel_std * nominal.s)
         members.append(VtcParams(v_m=vm, s=s, v_high=nominal.v_high,
                                  v_low=nominal.v_low))
-    return VtcFamily(members=tuple(members), nominal=nominal, seed=seed,
-                     variation=variation)
+    return VtcFamily(members=tuple(members), nominal=nominal)
 
 
-def default_family(vdd: float, n: int = 100, seed: int = 0) -> VtcFamily:
-    """The standard 100-member family: 2% of vdd on v_m, 10% on s."""
+def default_family(vdd: float, n: int = FAMILY_SIZE,
+                   seed: int = 0) -> VtcFamily:
+    """The standard family: 100 members, 2% of vdd on v_m, 10% on s."""
     nom = nominal_vtc(vdd)
-    var = VariationSpec(v_m_std=0.02 * vdd, s_rel_std=0.10)
+    var = VariationSpec(v_m_std=V_M_STD_RATIO * vdd, s_rel_std=S_REL_STD)
     return sample_family(n, var, seed, nom)

@@ -27,9 +27,13 @@ def pytest_terminal_summary(terminalreporter):
 
 
 @pytest.fixture(scope="session")
-def tiny_stage():
-    family = default_family(1.0, n=10, seed=3)
+def tiny_family():
+    return default_family(1.0, n=10, seed=3)
+
+
+@pytest.fixture(scope="session")
+def tiny_stage(tiny_family):
     cfg = TrainConfig(batch_size=64, total_iters=64, projection_period=16,
                       refine_passes=0, seed=5)
     return train_stage(StageSpec(resolution_bits=1, vdd=1.0),
-                       EncodingScheme(), family, DeviceGrid(), cfg)
+                       EncodingScheme(), tiny_family, DeviceGrid(), cfg)

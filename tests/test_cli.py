@@ -162,6 +162,19 @@ class TestPipelineCommands:
         assert isinstance(res.exception, SystemExit)
         assert "error: J = 16" in res.output
 
+    def test_off_grid_stage_weight_exit_code(self, runner, workdir):
+        stage = train_one(runner, workdir)
+        data = json.loads(stage.read_text())
+        data["subadc"]["w1"][0][0] *= 0.99
+        stage.write_text(json.dumps(data))
+        res = runner.invoke(main, [
+            "build-pipeline", "--config", str(workdir["cfg"]),
+            "--stages", str(stage)])
+        assert res.exit_code == EXIT_INPUT, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "error: weight at (0, 0)" in res.output
+        assert not (workdir["out"] / "pipeline.json").exists()
+
     def test_missing_stage_ref_exit_code(self, runner, workdir):
         res = runner.invoke(main, [
             "build-pipeline", "--config", str(workdir["cfg"]),

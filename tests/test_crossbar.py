@@ -215,6 +215,11 @@ class TestInstantiateConductances:
     def test_rejects_off_grid(self):
         with pytest.raises(PrecisionError):
             instantiate_conductances(np.array([[0.123]]), SPEC_GRID)
+        # one level step beyond the top level: on the spacing, out of range
+        lev = SPEC_GRID.weight_levels(2)
+        w = np.array([[lev[3]], [2 * lev[7] - lev[6]]])
+        with pytest.raises(PrecisionError, match=r"weight at \(1, 0\) = "):
+            instantiate_conductances(w, SPEC_GRID)
 
     def test_column_sum_constraint_exhaustive(self):
         # every extreme-level assignment at small H stays below Σ|W| = 1

@@ -84,6 +84,9 @@ SPECS = [
     StageSpec(resolution_bits=2, smooth_width=4,
               code_table=((0, 0, 0, 0), (0, 2, 0, 0),
                           (1, 1, 0, 1), (1, 1, 1, 1))),
+    # a float code bit, which int bits must decode against as floats
+    StageSpec(resolution_bits=2,
+              code_table=((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 0.5))),
 ]
 
 
@@ -108,12 +111,15 @@ def bit_batches(draw):
 class TestSmoothDecodeArray:
     @settings(deadline=None, max_examples=300)
     @given(bit_batches())
+    @example((SPECS[-1], np.array([[1, 1, 1]])))
     def test_matches_reference(self, case):
         spec, bits = case
         got = smooth_decode_array(bits, spec)
         want = reference_smooth_decode(bits, spec)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            got, smooth_decode_array(bits.astype(float), spec))
 
     def test_list_table_hashes_and_decodes_as_tuple(self):
         table = ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1))

@@ -76,7 +76,7 @@ def ref_net(layers, x, nominal, kind, vdd):
 
 
 def ref_stage(stage, v, need_residue):
-    spec, nom = stage.spec, stage.family.nominal
+    spec, nom = stage.spec, stage.nominal
     bits = ref_net(stage.subadc_layers, v[:, None], nom, "subadc", spec.vdd)
     lvl = smooth_decode_array(bits / nom.v_high, spec)
     res = None
@@ -99,7 +99,7 @@ def ref_convert(p, v):
 
 
 def ref_stage_metrics(stage, sub_layers, res_layers, n=4096, tone_bin=127):
-    spec, enc, nom = stage.spec, stage.enc, stage.family.nominal
+    spec, enc, nom = stage.spec, stage.enc, stage.nominal
     vdd = spec.vdd
     lsb = 1.0 / spec.n_levels
     k = np.arange(n)
@@ -194,7 +194,7 @@ class TestConvertMatchesReference:
                                       bias_voltage=tiny_stage.bias_drive)
         stage = dataclasses.replace(tiny_stage, residue_layers=(l1, l2))
         v = np.linspace(-0.5, 1.5, 4001)
-        nom, vdd = stage.family.nominal, stage.spec.vdd
+        nom, vdd = stage.nominal, stage.spec.vdd
         bits = ref_net(stage.subadc_layers, v[:, None], nom, "subadc", vdd)
         raw = ref_net(stage.residue_layers, np.hstack([v[:, None], bits]),
                       nom, "residue", vdd)

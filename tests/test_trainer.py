@@ -21,6 +21,7 @@ from nnadc.trainer import (
     clip_params,
     evaluate_stage,
     forward_stage,
+    instantiate_net,
     mse_loss,
     project,
     refine_discrete,
@@ -253,7 +254,7 @@ class TestRefineCandidateSequence:
     """
 
     @staticmethod
-    def refine(stage, kind, start, x, score, grid=None):
+    def refine(stage, family, kind, start, x, score, grid=None):
         scores = []
 
         def counting(out):
@@ -261,7 +262,7 @@ class TestRefineCandidateSequence:
             return scores[-1]
 
         p = refine_discrete(start, grid or stage.grid, stage.bias_drive,
-                            stage.family, kind, stage.spec.vdd, x, counting,
+                            family, kind, stage.spec.vdd, x, counting,
                             passes=1)
         running = np.minimum.accumulate(scores)
         accepted = int(np.sum(running[1:] < running[:-1]))
@@ -287,22 +288,22 @@ class TestRefineCandidateSequence:
     def subadc_case(stage):
         """The start of one of ``train_stage``'s refinement restarts, its
         2,048-point evaluation grid and its score."""
-        spec, enc, family = stage.spec, stage.enc, stage.family
+        spec, enc, nom = stage.spec, stage.enc, stage.nominal
         grid = np.arange(2048) / 2048.0 * spec.vdd
         ideal = stage_level_targets(grid, spec, enc)
 
         def score(out):
-            lvl = smooth_decode_array(out / family.nominal.v_high, spec)
+            lvl = smooth_decode_array(out / nom.v_high, spec)
             return float(np.abs(lvl - ideal).mean())
 
         start = trainer_module._init_params(
             1, spec.subadc_hidden, spec.smooth_width, stage.grid,
-            stage.bias_drive, spec.vdd, family.nominal.v_m,
+            stage.bias_drive, spec.vdd, nom.v_m,
             np.random.default_rng(0))
         return start, grid[:, None], score
 
     @staticmethod
-    def residue_case(stage):
+    def residue_case(stage, family):
         """The trained residue network, a 256-point grid with the
         sub-ADC's hard bits, and the residue score."""
         spec, enc = stage.spec, stage.enc
@@ -311,7 +312,7 @@ class TestRefineCandidateSequence:
                                 spec, enc)
         x = np.hstack([grid[:, None],
                        subadc_hard_bits(stage.subadc, grid, spec,
-                                        stage.family)])
+                                        family)])
 
         def score(out):
             return float(((np.clip(out[:, 0], 0.0, spec.vdd) - ideal) ** 2)
@@ -319,32 +320,33 @@ class TestRefineCandidateSequence:
 
         return stage.residue, x, score
 
-    def test_subadc_pass(self, tiny_stage):
+    def test_subadc_pass(self, tiny_stage, tiny_family):
         start, x, score = self.subadc_case(tiny_stage)
-        p, calls, accepted, best = self.refine(tiny_stage, "subadc", start,
-                                               x, score)
+        p, calls, accepted, best = self.refine(tiny_stage, tiny_family,
+                                               "subadc", start, x, score)
         assert (calls, accepted, best) == (248, 4, 0.083984375)
         assert self.level_indices(tiny_stage, p) == {
             "w1": [[0, 0, 7]], "b1": [0, 7, 4],
             "w2": [[7, 6], [0, 6], [2, 5]], "b2": [4, 5]}
 
-    def test_residue_pass(self, tiny_stage):
-        start, x, score = self.residue_case(tiny_stage)
-        p, calls, accepted, best = self.refine(tiny_stage, "residue", start,
-                                               x, score)
+    def test_residue_pass(self, tiny_stage, tiny_family):
+        start, x, score = self.residue_case(tiny_stage, tiny_family)
+        p, calls, accepted, best = self.refine(tiny_stage, tiny_family,
+                                               "residue", start, x, score)
         assert (calls, accepted, best) == (20522, 21, 0.06399872093869513)
         assert self.level_indices(tiny_stage, p) == {
             "w1": [[3, 7, 2, 5, 0], [0, 3, 0, 0, 0], [0, 3, 0, 0, 0]],
             "b1": [6, 6, 7, 6, 6],
             "w2": [[5], [0], [5], [3], [7]], "b2": [4]}
 
-    def test_residue_single_coordinate_pass(self, tiny_stage):
+    def test_residue_single_coordinate_pass(self, tiny_stage, tiny_family):
         # at 4 bits a residue column has 16^4 > 4,096 level combinations,
         # so refinement moves one coordinate of a column at a time
         grid = DeviceGrid(precision_bits=4)
-        start, x, score = self.residue_case(tiny_stage)
-        p, calls, accepted, best = self.refine(tiny_stage, "residue", start,
-                                               x, score, grid=grid)
+        start, x, score = self.residue_case(tiny_stage, tiny_family)
+        p, calls, accepted, best = self.refine(tiny_stage, tiny_family,
+                                               "residue", start, x, score,
+                                               grid=grid)
         assert (calls, accepted, best) == (404, 14, 0.06535489219054771)
         assert self.level_indices(tiny_stage, p, grid) == {
             "w1": [[7, 13, 13, 15, 0], [9, 6, 6, 6, 6], [6, 6, 6, 6, 9]],
@@ -352,7 +354,8 @@ class TestRefineCandidateSequence:
             "w2": [[11], [0], [0], [6], [15]], "b2": [9]}
 
     @pytest.mark.parametrize("kind", ["subadc", "residue"])
-    def test_score_sees_the_inference_output(self, tiny_stage, kind):
+    def test_score_sees_the_inference_output(self, tiny_stage, tiny_family,
+                                             kind):
         """``score`` receives a (points, outputs) batch, and the batch of
         the last accepted move is the refined network's inference output.
 
@@ -360,7 +363,8 @@ class TestRefineCandidateSequence:
         at a time, so residue outputs agree with a fresh forward pass to
         rounding; the sub-ADC's comparator outputs agree exactly.
         """
-        start, x, score = getattr(self, f"{kind}_case")(tiny_stage)
+        start, x, score = (self.subadc_case(tiny_stage) if kind == "subadc"
+                           else self.residue_case(tiny_stage, tiny_family))
         seen, best = [], [np.inf]
 
         def recording(out):
@@ -372,10 +376,10 @@ class TestRefineCandidateSequence:
             return s
 
         p = refine_discrete(start, tiny_stage.grid, tiny_stage.bias_drive,
-                            tiny_stage.family, kind, tiny_stage.spec.vdd, x,
+                            tiny_family, kind, tiny_stage.spec.vdd, x,
                             recording, passes=1)
         assert len(seen) > 1
-        want = forward_stage(p, x, tiny_stage.family, "infer", kind,
+        want = forward_stage(p, x, tiny_family, "infer", kind,
                              tiny_stage.spec.vdd)
         if kind == "subadc":
             np.testing.assert_array_equal(seen[-1], want)
@@ -390,8 +394,7 @@ class TestInstantiationEquivalence:
             f_in, hidden = int(rng.integers(1, 5)), int(rng.integers(2, 7))
             bd = FAMILY.nominal.v_high
             params = project(random_params(f_in, hidden, 1, rng), GRID, bd)
-            from nnadc.trainer import _instantiate_net
-            l1, l2 = _instantiate_net(params, GRID, bd)
+            l1, l2 = instantiate_net(params, GRID, bd)
             x = rng.uniform(0, 1, size=(20, f_in))
             pre1 = vmm(l1, x)
             h = vtc_eval(FAMILY.nominal, pre1)
@@ -447,8 +450,8 @@ class TestTrainStage:
         v, bits = seen[-1]
         # the digital inputs are the trained sub-ADC's own hard outputs
         np.testing.assert_array_equal(
-            bits, subadc_hard_bits(stage.subadc, v, spec, stage.family))
-        rail = stage.family.nominal.v_high
+            bits, subadc_hard_bits(stage.subadc, v, spec, FAMILY))
+        rail = stage.nominal.v_high
         assert set(np.unique(bits)) <= {0.0, rail}
 
     def test_weights_on_grid(self):
