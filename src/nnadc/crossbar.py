@@ -168,9 +168,11 @@ def instantiate_conductances(weights, grid: DeviceGrid,
     h = w.shape[0]
     q = grid.n_levels
     wm = grid.w_max(h)
-    idx = (w / wm * (q - 1) + (q - 1)) / 2.0
+    finite = np.isfinite(w)
+    idx = (np.where(finite, w, 0.0) / wm * (q - 1) + (q - 1)) / 2.0
     a = np.round(idx)
-    off = (np.abs(idx - a) > _GRID_RTOL * (q - 1)) | (a < 0) | (a > q - 1)
+    off = ((np.abs(idx - a) > _GRID_RTOL * (q - 1)) | (a < 0) | (a > q - 1)
+           | ~finite)
     if off.any():
         bad = tuple(map(int, np.argwhere(off)[0]))
         raise PrecisionError(f"weight at {bad} = {float(w[bad])!r} is not on "

@@ -20,7 +20,7 @@ import numpy as np
 
 from .crossbar import DeviceGrid
 from .dse import CostTable
-from .errors import ConfigError, ModelRefError
+from .errors import ConfigError, DeviceError, ModelRefError, PrecisionError
 from .pipeline import PipelineConfig
 from .signal_core import EncodingScheme, StageSpec
 from .trainer import MlpParams, TrainedStage, instantiate_net
@@ -91,7 +91,8 @@ def save_stage(stage: TrainedStage, path, run_hash: str = "") -> None:
 def load_stage(path, check_hash: str | None = None) -> TrainedStage:
     """Stage model file, refused unless built from config ``check_hash``.
 
-    Both networks' crossbars are rebuilt from their stored weights.
+    Both networks' crossbars are rebuilt from their stored weights; a
+    weight they refuse names the file and the network.
     """
     def build(data):
         if check_hash not in (None, data.get("config_hash", "")):
@@ -99,18 +100,21 @@ def load_stage(path, check_hash: str | None = None) -> TrainedStage:
                                 "different configuration")
         grid = DeviceGrid(**data["grid"])
         bias_drive = data["bias_drive"]
-        subadc = _params_from_dict(data["subadc"])
-        residue = (_params_from_dict(data["residue"])
-                   if data["residue"] is not None else None)
+        nets = {net: _params_from_dict(data[net])
+                for net in ("subadc", "residue") if data[net] is not None}
+        layers = {}
+        for net, params in nets.items():
+            try:
+                layers[net] = instantiate_net(params, grid, bias_drive)
+            except (PrecisionError, DeviceError) as exc:
+                raise type(exc)(f"{path}: {net} network: {exc}") from exc
         return TrainedStage(
             spec=StageSpec(**data["spec"]),
             enc=EncodingScheme(**data["encoding"]),
             nominal=VtcParams(**data["nominal"]),
-            grid=grid, bias_drive=bias_drive, subadc=subadc,
-            subadc_layers=instantiate_net(subadc, grid, bias_drive),
-            residue=residue,
-            residue_layers=(instantiate_net(residue, grid, bias_drive)
-                            if residue else None),
+            grid=grid, bias_drive=bias_drive, subadc=nets["subadc"],
+            subadc_layers=layers["subadc"], residue=nets.get("residue"),
+            residue_layers=layers.get("residue"),
             train_metrics=data.get("metrics", {}),
         )
     return _read_model(path, "stage", build)

@@ -119,6 +119,17 @@ def _decision(kind: str, nominal: VtcParams, vdd: float):
     raise ConfigError(f"unknown network kind {kind!r}")
 
 
+def _train_logistic(center, z: np.ndarray, scale) -> np.ndarray:
+    """``1 / (1 + exp(-(center - z) / scale))``, computed over ``z`` in
+    place.  ``y / -scale`` is ``-y / scale`` exactly, and ``center - z``
+    is ``-(z - center)`` but for the sign of a zero, which exp drops."""
+    np.subtract(center, z, out=z)
+    z /= -scale
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
+
+
 def _forward(params: MlpParams, x: np.ndarray, family: VtcFamily,
              kind: str, vdd: float,
              surrogate_ratio: float = COMPARATOR_WIDTH_RATIO):
@@ -132,23 +143,25 @@ def _forward(params: MlpParams, x: np.ndarray, family: VtcFamily,
         raise ConfigError("VTC assignment index outside the family")
     a = params.vtc_assignment
     vm, s, vh, vl = (arr[a] for arr in family.as_arrays())
-    rail = family.nominal.v_high
-    pre1 = x @ params.w1 + params.b1
-    sig_h = 1.0 / (1.0 + np.exp(-(vm - pre1) / s))
-    h = vl + (vh - vl) * sig_h
-    pre2 = h @ params.w2 + params.b2
+    pre1 = np.matmul(x, params.w1, out=np.empty((len(x), params.hidden)))
+    pre1 += params.b1
+    sig_h = _train_logistic(vm, pre1, s)
+    h = np.multiply(vh - vl, sig_h, out=np.empty_like(sig_h))
+    h += vl
+    pre2 = h @ params.w2
+    pre2 += params.b2
     if kind == "subadc":
         ws = surrogate_ratio * vdd
-        sig_o = 1.0 / (1.0 + np.exp(-(pre2 - vdd / 2.0) / ws))
-        out = rail * sig_o
-        dout = rail * sig_o * (1.0 - sig_o) / ws
+        sig_o = _train_logistic(vdd / 2.0, pre2, -ws)
+        out = family.nominal.v_high * sig_o
+        # rail * sig_o * (1 - sig_o) / ws, rail * sig_o being out
+        dout = np.multiply(out, np.subtract(1.0, sig_o, out=sig_o), out=sig_o)
+        dout /= ws
     elif kind == "residue":
-        out = pre2
-        dout = np.ones_like(pre2)
+        out, dout = pre2, 1.0
     else:
         raise ConfigError(f"unknown network kind {kind!r}")
-    cache = (x, pre1, sig_h, h, dout, (vm, s, vh, vl))
-    return out, cache
+    return out, (sig_h, h, dout, (vm, s, vh, vl))
 
 
 def forward_stage(params: MlpParams, inputs: np.ndarray, family: VtcFamily,
@@ -178,20 +191,24 @@ def mse_loss(outputs: np.ndarray, targets: np.ndarray) -> float:
 def backprop(params: MlpParams, x: np.ndarray, targets: np.ndarray,
              family: VtcFamily, kind: str, vdd: float,
              surrogate_ratio: float = COMPARATOR_WIDTH_RATIO):
-    """Loss and analytic gradients for one train-mode batch."""
-    out, cache = _forward(params, x, family, kind, vdd, surrogate_ratio)
-    xb, pre1, sig_h, h, dout, (vm, s, vh, vl) = cache
-    n = x.shape[0]
+    """Loss and analytic gradients for one train-mode batch.
+
+    In place on ``_forward``'s two (batch, hidden) arrays: ``h`` becomes
+    d h / d pre1, ``sig_h`` 1 - sig_h and then d loss / d pre1.  Every
+    step keeps the formula's operands, order and memory layout, so each
+    matmul and ``sum(axis=0)`` sums in its old order, bit for bit.
+    """
+    out, (sig_h, h, dout, (vm, s, vh, vl)) = _forward(
+        params, x, family, kind, vdd, surrogate_ratio)
     loss = mse_loss(out, targets)
-    d2 = 2.0 * (out - targets) / n * dout          # dC/dpre2
+    d2 = 2.0 * (out - targets) / len(x) * dout    # dC/dpre2
     gw2 = h.T @ d2
     gb2 = d2.sum(axis=0)
-    dh = d2 @ params.w2.T
-    dvtc = -(vh - vl) / s * sig_h * (1.0 - sig_h)  # d h / d pre1
-    d1 = dh * dvtc
-    gw1 = xb.T @ d1
-    gb1 = d1.sum(axis=0)
-    return loss, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
+    dvtc = np.multiply(-(vh - vl) / s, sig_h, out=h)  # d h / d pre1
+    dvtc *= np.subtract(1.0, sig_h, out=sig_h)
+    d1 = np.matmul(d2, params.w2.T, out=sig_h)  # dC/dh, then dC/dpre1
+    d1 *= dvtc
+    return loss, {"w1": x.T @ d1, "b1": d1.sum(axis=0), "w2": gw2, "b2": gb2}
 
 
 @dataclass

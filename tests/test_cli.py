@@ -172,8 +172,22 @@ class TestPipelineCommands:
             "--stages", str(stage)])
         assert res.exit_code == EXIT_INPUT, res.output
         assert isinstance(res.exception, SystemExit)
-        assert "error: weight at (0, 0)" in res.output
+        assert f"error: {stage}: subadc network: weight at (0, 0)" \
+            in res.output
         assert not (workdir["out"] / "pipeline.json").exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_stage_weight_exit_code(self, runner, workdir, bad):
+        stage = train_one(runner, workdir)
+        data = json.loads(stage.read_text())
+        data["residue"]["b2"][0] = float(bad)
+        stage.write_text(json.dumps(data))
+        res = runner.invoke(main, [
+            "build-pipeline", "--config", str(workdir["cfg"]),
+            "--stages", str(stage)])
+        assert res.exit_code == EXIT_INPUT, res.output
+        assert (f"error: {stage}: residue network: weight at (5, 0) = {bad} "
+                "is not on the 3-bit grid") in res.output
 
     def test_missing_stage_ref_exit_code(self, runner, workdir):
         res = runner.invoke(main, [

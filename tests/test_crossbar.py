@@ -221,6 +221,14 @@ class TestInstantiateConductances:
         with pytest.raises(PrecisionError, match=r"weight at \(1, 0\) = "):
             instantiate_conductances(w, SPEC_GRID)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        """Refused as a weight, before any conductance is made from it."""
+        w = np.array([[SPEC_GRID.weight_levels(2)[3]], [bad]])
+        with pytest.raises(PrecisionError,
+                           match=rf"weight at \(1, 0\) = {bad!r} is not on"):
+            instantiate_conductances(w, SPEC_GRID)
+
     def test_column_sum_constraint_exhaustive(self):
         # every extreme-level assignment at small H stays below Σ|W| = 1
         for ar in (1, 2, 3):

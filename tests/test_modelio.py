@@ -163,8 +163,10 @@ class TestStageRoundTrip:
         arr[index] *= 0.99
         data[net][name] = arr.tolist()
         path.write_text(json.dumps(data))
-        with pytest.raises(PrecisionError, match="not on the 3-bit grid"):
+        with pytest.raises(PrecisionError, match="not on the 3-bit grid") \
+                as err:
             load_stage(path)
+        assert str(err.value).startswith(f"{path}: {net} network: weight at")
 
     def test_rejects_wrong_kind(self, tiny_stage, tmp_path):
         path = tmp_path / "stage.json"

@@ -1,10 +1,11 @@
 """Training: gradients, Adam, projection, refinement, stage training."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,6 +14,8 @@ from nnadc.crossbar import DeviceGrid, quantize_weight, vmm
 from nnadc.errors import ConfigError, ShapeError
 from nnadc.signal_core import EncodingScheme, StageSpec, smooth_decode_array
 from nnadc.trainer import (
+    COMPARATOR_WIDTH_RATIO,
+    COMPARATOR_WIDTH_START,
     AdamState,
     MlpParams,
     TrainConfig,
@@ -30,7 +33,7 @@ from nnadc.trainer import (
     subadc_hard_bits,
     train_stage,
 )
-from nnadc.vtc import default_family, vtc_eval
+from nnadc.vtc import VtcFamily, default_family, vtc_eval
 
 VDD = 1.0
 GRID = DeviceGrid()
@@ -83,6 +86,109 @@ class TestGradients:
                 arr[idx] = orig
                 fd[idx] = (lp - lm) / (2.0 * eps)
             np.testing.assert_allclose(grads[name], fd, rtol=1e-4, atol=1e-7)
+
+
+def formula_forward(params, x, family, kind, vdd, surrogate_ratio):
+    """The train forward as plain formulas, one fresh array per step."""
+    a = params.vtc_assignment
+    vm, s, vh, vl = (arr[a] for arr in family.as_arrays())
+    rail = family.nominal.v_high
+    pre1 = x @ params.w1 + params.b1
+    sig_h = 1.0 / (1.0 + np.exp(-(vm - pre1) / s))
+    h = vl + (vh - vl) * sig_h
+    pre2 = h @ params.w2 + params.b2
+    if kind == "subadc":
+        ws = surrogate_ratio * vdd
+        sig_o = 1.0 / (1.0 + np.exp(-(pre2 - vdd / 2.0) / ws))
+        out = rail * sig_o
+        dout = rail * sig_o * (1.0 - sig_o) / ws
+    else:
+        out = pre2
+        dout = np.ones_like(pre2)
+    return out, (x, pre1, sig_h, h, dout, (vm, s, vh, vl))
+
+
+def formula_backprop(params, x, targets, family, kind, vdd, surrogate_ratio):
+    """``backprop`` as plain formulas: the oracle of the in-place one."""
+    out, cache = formula_forward(params, x, family, kind, vdd,
+                                 surrogate_ratio)
+    xb, pre1, sig_h, h, dout, (vm, s, vh, vl) = cache
+    n = x.shape[0]
+    loss = mse_loss(out, targets)
+    d2 = 2.0 * (out - targets) / n * dout
+    gw2 = h.T @ d2
+    gb2 = d2.sum(axis=0)
+    dh = d2 @ params.w2.T
+    dvtc = -(vh - vl) / s * sig_h * (1.0 - sig_h)
+    d1 = dh * dvtc
+    gw1 = xb.T @ d1
+    gb1 = d1.sum(axis=0)
+    return loss, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
+
+
+# FAMILY with a raised low rail, so that the hidden layer's ``+ v_low``
+# adds something
+FAMILY_LOW_RAIL = VtcFamily(
+    members=tuple(dataclasses.replace(p, v_low=0.1) for p in FAMILY.members),
+    nominal=FAMILY.nominal)
+
+
+class TestBackpropInPlace:
+    @settings(deadline=None, max_examples=300)
+    @given(kind=st.sampled_from(("subadc", "residue")),
+           f_in=st.integers(1, 4), hidden=st.integers(1, 9),
+           f_out=st.integers(1, 3), batch=st.integers(1, 64),
+           assignment=st.lists(st.integers(0, len(FAMILY) - 1),
+                               min_size=9, max_size=9),
+           ratio=st.floats(COMPARATOR_WIDTH_RATIO / 2,
+                           2 * COMPARATOR_WIDTH_START),
+           scale=st.sampled_from((0.1, 1.0, 10.0)),
+           low_rail=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(kind="residue", f_in=3, hidden=5, f_out=1, batch=4096,
+             assignment=list(range(9)), ratio=COMPARATOR_WIDTH_RATIO,
+             scale=1.0, low_rail=False, seed=0)
+    def test_matches_the_formulas(self, kind, f_in, hidden, f_out, batch,
+                                  assignment, ratio, scale, low_rail, seed):
+        """Loss and gradients equal the plain formulas bit for bit, and a
+        later call leaves an earlier call's gradients as they were."""
+        rng = np.random.default_rng(seed)
+        family = FAMILY_LOW_RAIL if low_rail else FAMILY
+        params = random_params(f_in, hidden, f_out, rng)
+        for name in ("w1", "b1", "w2", "b2"):
+            getattr(params, name)[...] *= scale
+        params.vtc_assignment = np.array(assignment[:hidden])
+        x = rng.uniform(0.0, family.nominal.v_high, size=(batch, f_in))
+        targets = rng.uniform(0.0, VDD, size=(batch, f_out))
+        with np.errstate(over="ignore"):
+            want_loss, want = formula_backprop(params, x, targets, family,
+                                               kind, VDD, ratio)
+            loss, grads = backprop(params, x, targets, family, kind, VDD,
+                                   surrogate_ratio=ratio)
+            kept = {k: g.copy() for k, g in grads.items()}
+            backprop(params, x[::-1].copy(), targets, family, kind, VDD,
+                     surrogate_ratio=ratio)
+        assert loss == want_loss
+        assert grads.keys() == want.keys()
+        for name, g in want.items():
+            assert np.array_equal(grads[name], g), name
+            assert np.array_equal(grads[name], kept[name]), name
+
+    def test_residue_call_allocates_under_four_hidden_buffers(self):
+        """A warm residue call at the training batch size peaks below four
+        (batch, hidden) float64 arrays of traced memory."""
+        n, f_in, hidden = 4096, 3, 5
+        rng = np.random.default_rng(7)
+        params = random_params(f_in, hidden, 1, rng)
+        x = rng.uniform(0.0, VDD, size=(n, f_in))
+        targets = rng.uniform(0.0, VDD, size=(n, 1))
+        backprop(params, x, targets, FAMILY, "residue", VDD)
+        tracemalloc.start()
+        try:
+            backprop(params, x, targets, FAMILY, "residue", VDD)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * hidden * 8
 
 
 class TestAdam:
