@@ -66,11 +66,16 @@ class _Cli(click.Group):
 
 
 def _parse_ints(text: str):
-    """'1..7' or '1,2,3' -> list of ints."""
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(t) for t in text.split(",") if t]
+    """'1..7' or '1,2,3' -> non-empty list of ints, else ``ConfigError``."""
+    lo, dots, hi = text.partition("..")
+    try:
+        values = (list(range(int(lo), int(hi) + 1)) if dots
+                  else [int(t) for t in text.split(",") if t])
+    except ValueError:
+        values = []
+    if not values:
+        raise ConfigError(f"not a list of integers like 1..7 or 1,2: {text!r}")
+    return values
 
 
 def _write_manifest(cfg: ExperimentConfig, command: str, outputs) -> None:

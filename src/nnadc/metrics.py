@@ -1,4 +1,4 @@
-"""Spectral accuracy metrics: power spectrum, SNDR, ENOB, residue MSE.
+"""Spectral accuracy metrics: power spectrum, SNDR and ENOB.
 
 Measurements follow standard Nyquist-ADC practice: coherent sampling
 (tone on an exact FFT bin), rectangular window, and every non-signal,
@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoherenceError, ShapeError
-from .signal_core import (EVAL_N, TONE_BIN, TONE_N, EncodingScheme,
+from .signal_core import (TONE_BIN, TONE_N, EncodingScheme, StageSpec,
+                          ideal_adc, ideal_stage_level, residue_arithmetic,
                           sine_stimulus)
 
 ENOB_OFFSET_DB = 1.76
@@ -70,16 +71,6 @@ def sndr_enob(samples: np.ndarray, f_s: float, f_in: float):
     return float(sndr), float((sndr - ENOB_OFFSET_DB) / ENOB_SLOPE_DB)
 
 
-def residue_mse(predicted, ideal, vdd: float) -> float:
-    """Mean squared difference over the ``EVAL_N``-point grid on [0, vdd)."""
-    grid = np.arange(EVAL_N) / EVAL_N * vdd
-    p = np.asarray(predicted(grid), dtype=float)
-    q = np.asarray(ideal(grid), dtype=float)
-    if p.shape != grid.shape or q.shape != grid.shape:
-        raise ShapeError("residue functions must be vectorized over the grid")
-    return float(((p - q) ** 2).mean())
-
-
 def mse_to_enob_sensitivity(pipeline_reso: int, injected_mse: float,
                             n: int = TONE_N, tone_bin: int = TONE_BIN,
                             seed: int = 0) -> float:
@@ -92,21 +83,19 @@ def mse_to_enob_sensitivity(pipeline_reso: int, injected_mse: float,
     """
     if injected_mse < 0:
         raise ShapeError("injected MSE must be non-negative")
-    lsb = 1.0 / (1 << pipeline_reso)
-    stim = sine_stimulus(n, tone_bin, 0.5 - lsb / 2.0, EncodingScheme(), 1.0)
-    v = stim.samples
-    level1 = np.minimum(np.floor(v * 2.0), 1.0)
-    r1 = (v - level1 / 2.0) * 2.0
+    enc, first = EncodingScheme(), StageSpec(resolution_bits=1)
+    stim = sine_stimulus(n, tone_bin, 0.5 - 0.5 / (1 << pipeline_reso), enc,
+                         1.0)
+    level = ideal_stage_level(stim.samples, first)
+    r1 = residue_arithmetic(stim.samples, level, first)
     if injected_mse > 0:
         rng = np.random.default_rng(seed)
         r1 = r1 + rng.normal(0.0, math.sqrt(injected_mse), size=n)
-    r1 = np.clip(r1, 0.0, 1.0)
     rest_bits = pipeline_reso - 1
-    rest = np.minimum(np.floor(r1 * (1 << rest_bits)), (1 << rest_bits) - 1)
-    code = level1 * (1 << rest_bits) + rest
-    rec = (code + 0.5) * lsb
-    _, enob = sndr_enob(rec, stim.f_s, stim.f_in)
-    return enob
+    code = level << rest_bits
+    if rest_bits:  # ideal_adc resolves at least one bit
+        code += ideal_adc(np.clip(r1, 0.0, 1.0), rest_bits, enc)
+    return enob_of_codes(code, pipeline_reso, stim.f_s, stim.f_in)[1]
 
 
 def enob_of_codes(codes: np.ndarray, reso: int, f_s: float, f_in: float):

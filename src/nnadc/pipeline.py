@@ -40,10 +40,6 @@ class IdealStage:
     spec: StageSpec
     enc: EncodingScheme
 
-    @property
-    def has_residue(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class McEvalSpec:
@@ -76,10 +72,6 @@ class PipelineConfig:
     @property
     def reso(self) -> int:
         return sum(s.spec.resolution_bits for s in self.stages)
-
-    @property
-    def vdd(self) -> float:
-        return self.stages[0].spec.vdd
 
 
 def _work(bufs: dict, key: str, shape: tuple, order: str = "F") -> np.ndarray:

@@ -262,6 +262,13 @@ def residue_targets(v: np.ndarray, level: np.ndarray, spec: StageSpec,
     return np.clip(r, 0.0, spec.vdd)
 
 
+def stage_eval_targets(spec: StageSpec, enc: EncodingScheme):
+    """The ``EVAL_N``-point grid on [0, vdd), its ideal levels and residues."""
+    v = np.arange(EVAL_N) / EVAL_N * spec.vdd
+    level = stage_level_targets(v, spec, enc)
+    return v, level, residue_targets(v, level, spec, enc)
+
+
 @dataclass(frozen=True)
 class SineStimulus:
     samples: np.ndarray = field(repr=False)

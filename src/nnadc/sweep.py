@@ -17,8 +17,7 @@ import numpy as np
 from .config import ExperimentConfig, split_seed
 # perfbench/tracing.py patches these names, so they stay importable here
 from .crossbar import perturb_resistances  # noqa: F401
-from .errors import ConfigError
-from .pipeline import perturbed_stage
+from .pipeline import McEvalSpec, perturbed_stage
 from .signal_core import smooth_decode_array  # noqa: F401
 from .trainer import TrainedStage, evaluate_stage
 
@@ -35,11 +34,8 @@ def median_perturbed_metrics(stage: TrainedStage, runs: int, sigma: float,
     """Median metrics over ``runs`` independent perturbations."""
     samples = [perturbed_stage_metrics(stage, sigma, seed + r)
                for r in range(runs)]
-    out = {"subadc_enob": statistics.median(s["subadc_enob"] for s in samples)}
-    if "residue_mse" in samples[0]:
-        out["residue_mse"] = statistics.median(s["residue_mse"]
-                                               for s in samples)
-    return out
+    return {key: statistics.median(s[key] for s in samples)
+            for key in samples[0]}
 
 
 def precision_sweep(cfg: ExperimentConfig, resolutions, precisions,
@@ -57,35 +53,35 @@ def precision_sweep(cfg: ExperimentConfig, resolutions, precisions,
     from .signal_core import StageSpec
     from .trainer import train_stage
 
-    # refused before any training, as McEvalSpec refuses it for mc-eval
-    if not 0 <= sigma < np.inf:  # NaN fails both comparisons
-        raise ConfigError("sweep sigma must be non-negative and finite")
+    # bad arguments are refused before any training: runs and sigma as
+    # mc-eval does, each point's N and A_R by building its spec and grid
+    McEvalSpec(runs=runs, sigma=sigma)
+    points = [(StageSpec(resolution_bits=n, vdd=cfg.vdd),
+               dataclasses.replace(cfg.grid, precision_bits=ar))
+              for n in resolutions for ar in precisions]
     family = cfg.family()
     rows = []
-    for n_bits in resolutions:
-        spec = StageSpec(resolution_bits=n_bits, vdd=cfg.vdd)
-        for ar in precisions:
-            grid = dataclasses.replace(cfg.grid, precision_bits=ar)
-            base_seed = split_seed(cfg.seed, f"sweep-n{n_bits}-ar{ar}")
-            val_seed = split_seed(cfg.seed, f"val-n{n_bits}")
-            stage = None
-            stage_score = None
-            for k in range(seeds_per_point):
-                train_cfg = dataclasses.replace(cfg.train,
-                                                seed=base_seed + k)
-                cand = train_stage(spec, cfg.encoding, family, grid,
-                                   train_cfg, train_residue=train_residue)
-                enobs = [perturbed_stage_metrics(cand, sigma,
-                                                 val_seed + r)["subadc_enob"]
-                         for r in range(9)]
-                # disqualify candidates so fragile that dead draws would
-                # dominate a median; otherwise rank by the median itself
-                dead = sum(1 for e in enobs if not np.isfinite(e))
-                score = (dead >= 5, -statistics.median(enobs))
-                if stage is None or score < stage_score:
-                    stage, stage_score = cand, score
-            med = median_perturbed_metrics(
-                stage, runs, sigma, seed=split_seed(cfg.seed, f"mc-n{n_bits}"))
-            rows.append((n_bits, ar, med["subadc_enob"],
-                         med.get("residue_mse", "")))
+    for spec, grid in points:
+        n_bits, ar = spec.resolution_bits, grid.precision_bits
+        base_seed = split_seed(cfg.seed, f"sweep-n{n_bits}-ar{ar}")
+        val_seed = split_seed(cfg.seed, f"val-n{n_bits}")
+        stage = None
+        stage_score = None
+        for k in range(seeds_per_point):
+            train_cfg = dataclasses.replace(cfg.train, seed=base_seed + k)
+            cand = train_stage(spec, cfg.encoding, family, grid, train_cfg,
+                               train_residue=train_residue)
+            enobs = [perturbed_stage_metrics(cand, sigma,
+                                             val_seed + r)["subadc_enob"]
+                     for r in range(9)]
+            # disqualify candidates so fragile that dead draws would
+            # dominate a median; otherwise rank by the median itself
+            dead = sum(1 for e in enobs if not np.isfinite(e))
+            score = (dead >= 5, -statistics.median(enobs))
+            if stage is None or score < stage_score:
+                stage, stage_score = cand, score
+        med = median_perturbed_metrics(
+            stage, runs, sigma, seed=split_seed(cfg.seed, f"mc-n{n_bits}"))
+        rows.append((n_bits, ar, med["subadc_enob"],
+                     med.get("residue_mse", "")))
     return rows

@@ -20,12 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics as _metrics
-from .crossbar import CrossbarLayer, DeviceGrid, instantiate_conductances, quantize_weight
+from .crossbar import DeviceGrid, instantiate_conductances, quantize_weight
 from .errors import ConfigError, ShapeError, TrainingError
 from .pipeline import stage_levels
 # the stage-target oracles live in signal_core; perfbench calls them here
 from .signal_core import (
-    EVAL_N,
     TONE_BIN,
     TONE_N,
     EncodingScheme,
@@ -33,6 +32,7 @@ from .signal_core import (
     residue_targets,
     sine_stimulus,
     smooth_decode_array,
+    stage_eval_targets,
     stage_level_targets,
 )
 from .vtc import VtcFamily, VtcParams, vtc_eval
@@ -525,13 +525,11 @@ def subadc_hard_bits(params: MlpParams, v: np.ndarray, spec: StageSpec,
 
 def train_stage(spec: StageSpec, enc: EncodingScheme, family: VtcFamily,
                 grid: DeviceGrid, config: TrainConfig,
-                train_residue: bool = True,
-                residue_input_hook=None) -> TrainedStage:
+                train_residue: bool = True) -> TrainedStage:
     """Collaborative training of one stage: sub-ADC first, then residue.
 
     The residue network is trained on the *trained* sub-ADC's hard
-    digital outputs, never on the ideal code.  ``residue_input_hook``
-    (used by tests) observes every (input, digital-bits) residue batch.
+    digital outputs, never on the ideal code.
     """
     vdd = spec.vdd
     rail = family.nominal.v_high
@@ -540,14 +538,12 @@ def train_stage(spec: StageSpec, enc: EncodingScheme, family: VtcFamily,
     rng_sub, rng_res, rng_hop = (np.random.default_rng(s)
                                  for s in ss.spawn(3))
     codes = np.asarray(spec.codes(), dtype=float)
-    eval_grid = np.arange(EVAL_N) / EVAL_N * vdd
+    eval_grid, ideal_lvl, ideal_res = stage_eval_targets(spec, enc)
 
     def subadc_batch(n, rng):
         r = rng.uniform(0.0, vdd, size=(n, 1))
         lvl = stage_level_targets(r[:, 0], spec, enc)
         return r, codes[lvl] * rail
-
-    ideal_lvl = stage_level_targets(eval_grid, spec, enc)
 
     def sub_out_score(out):
         lvl = smooth_decode_array(out / rail, spec)
@@ -562,15 +558,9 @@ def train_stage(spec: StageSpec, enc: EncodingScheme, family: VtcFamily,
     residue = None
     residue_layers = None
     if train_residue:
-        ideal_res = residue_targets(eval_grid,
-                                    stage_level_targets(eval_grid, spec, enc),
-                                    spec, enc)
-
         def residue_batch(n, rng):
             r = rng.uniform(0.0, vdd, size=(n, 1))
             bits = subadc_hard_bits(subadc, r[:, 0], spec, family)
-            if residue_input_hook is not None:
-                residue_input_hook(r[:, 0], bits)
             lvl = smooth_decode_array(bits / rail, spec)
             target = residue_targets(r[:, 0], lvl, spec, enc)
             return np.hstack([r, bits]), target[:, None]
@@ -599,22 +589,22 @@ def train_stage(spec: StageSpec, enc: EncodingScheme, family: VtcFamily,
 
 
 def evaluate_stage(stage: TrainedStage) -> dict:
-    """Sub-ADC ENOB (coherent sine test) and residue MSE vs the ideal.
+    """Sub-ADC ENOB (coherent sine test) and residue MSE vs the ideal on
+    the grid training scores on (``stage_eval_targets``).
 
     The stage is measured through its crossbars, by the stage forward a
     conversion runs, so a perturbed copy of the stage is measured as a
     pipeline would convert with it.
     """
     spec, enc = stage.spec, stage.enc
-    lsb = 1.0 / spec.n_levels
-    stim = sine_stimulus(TONE_N, TONE_BIN, 0.5 - lsb / 2.0, enc, spec.vdd)
+    stim = sine_stimulus(TONE_N, TONE_BIN, 0.5 - 0.5 / spec.n_levels, enc,
+                         spec.vdd)
     lvl, _ = stage_levels(stage, stim.samples)
-    _, enob = _metrics.sndr_enob((lvl + 0.5) * lsb, stim.f_s, stim.f_in)
+    _, enob = _metrics.enob_of_codes(lvl, spec.resolution_bits, stim.f_s,
+                                     stim.f_in)
     out = {"subadc_enob": enob}
     if stage.has_residue:
-        out["residue_mse"] = _metrics.residue_mse(
-            lambda v: stage_levels(stage, v, need_residue=True)[1],
-            lambda v: residue_targets(v, stage_level_targets(v, spec, enc),
-                                      spec, enc),
-            spec.vdd)
+        v, _, ideal = stage_eval_targets(spec, enc)
+        residue = stage_levels(stage, v, need_residue=True)[1]
+        out["residue_mse"] = float(((residue - ideal) ** 2).mean())
     return out

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nnadc.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_MODEL_REF, main
+from nnadc.cli import (EXIT_CONFIG, EXIT_INPUT, EXIT_MODEL_REF,
+                       EXIT_TRAINING, main)
 
 
 @pytest.fixture()
@@ -60,6 +61,20 @@ class TestTrainStage:
         text_a = a.read_text()
         b = train_one(runner, workdir, ["--seed", "7"])
         assert b.read_text() == text_a
+
+    def test_precision_override(self, runner, workdir):
+        path = train_one(runner, workdir, ["--ar", "2"])
+        assert "_ar2_" in path.name
+        assert json.loads(path.read_text())["grid"]["precision_bits"] == 2
+
+    def test_non_finite_loss_exit_code(self, runner, workdir, monkeypatch):
+        monkeypatch.setattr("nnadc.trainer.backprop",
+                            lambda *args, **kwargs: (np.nan, {}))
+        res = runner.invoke(main, ["train-stage", "--config",
+                                   str(workdir["cfg"])])
+        assert res.exit_code == EXIT_TRAINING, res.output
+        assert "error: subadc loss became non-finite" in res.output
+        assert not (workdir["out"] / "stage_metrics.csv").exists()
 
     def test_bad_config_exit_code(self, runner, workdir, tmp_path):
         bad = tmp_path / "bad.json"
@@ -189,6 +204,19 @@ class TestPipelineCommands:
         assert (f"error: {stage}: residue network: weight at (5, 0) = {bad} "
                 "is not on the 3-bit grid") in res.output
 
+    def test_terminal_stage_before_last_exit_code(self, runner, workdir):
+        stage = train_one(runner, workdir, ["--terminal"])
+        res = runner.invoke(main, [
+            "build-pipeline", "--config", str(workdir["cfg"]),
+            "--stages", f"{stage},{stage}"])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, [
+            "simulate", "--config", str(workdir["cfg"]),
+            "--pipeline", str(workdir["out"] / "pipeline.json")])
+        assert res.exit_code == EXIT_INPUT, res.output
+        assert "error: residue requested from a residue-less" in res.output
+        assert not (workdir["out"] / "trace.csv").exists()
+
     def test_missing_stage_ref_exit_code(self, runner, workdir):
         res = runner.invoke(main, [
             "build-pipeline", "--config", str(workdir["cfg"]),
@@ -288,10 +316,11 @@ class TestDse:
 
 
 class TestSweep:
-    def test_small_sweep_csv(self, runner, workdir):
+    @pytest.mark.parametrize("ar_list", ["2,3", "2..3"])
+    def test_small_sweep_csv(self, runner, workdir, ar_list):
         res = runner.invoke(main, [
             "sweep-precision", "--config", str(workdir["cfg"]),
-            "--n", "1", "--ar", "2,3", "--runs", "2", "--sigma", "0.05"])
+            "--n", "1", "--ar", ar_list, "--runs", "2", "--sigma", "0.05"])
         assert res.exit_code == 0, res.output
         rows = (workdir["out"] / "sweep_precision.csv").read_text().splitlines()
         assert rows[0] == "n,ar,median_subadc_enob,median_residue_mse"
@@ -308,5 +337,30 @@ class TestSweep:
             "sweep-precision", "--config", str(workdir["cfg"]),
             "--n", "1", "--ar", "2", "--runs", "2", "--sigma", sigma])
         assert res.exit_code == EXIT_CONFIG, res.output
-        assert "error: sweep sigma" in res.output
+        assert "error: Monte Carlo sigma" in res.output
+        assert not (workdir["out"] / "sweep_precision.csv").exists()
+
+    @pytest.mark.parametrize("option, value, code, message", [
+        ("--ar", "x", EXIT_CONFIG, "not a list of integers"),
+        ("--ar", "2..", EXIT_CONFIG, "not a list of integers"),
+        ("--ar", "3..1", EXIT_CONFIG, "not a list of integers"),
+        ("--n", "", EXIT_CONFIG, "not a list of integers"),
+        ("--runs", "0", EXIT_CONFIG, "need at least one Monte Carlo run"),
+        ("--n", "1,4", EXIT_CONFIG, "stage resolution must be 1..3"),
+        ("--ar", "3,9", EXIT_INPUT, "precision_bits must be 1..7")],
+        ids=["ar-text", "ar-open-range", "ar-empty-range", "n-empty",
+             "runs-0", "n-4", "ar-9"])
+    def test_bad_point_or_runs_exit_code(self, runner, workdir, monkeypatch,
+                                         option, value, code, message):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a bad argument must be refused before "
+                                 "training")
+        monkeypatch.setattr("nnadc.trainer.train_stage", no_training)
+        args = {"--n": "1", "--ar": "2", "--runs": "2", "--sigma": "0.05",
+                option: value}
+        res = runner.invoke(main, ["sweep-precision", "--config",
+                                   str(workdir["cfg"]),
+                                   *(x for kv in args.items() for x in kv)])
+        assert res.exit_code == code, res.output
+        assert f"error: {message}" in res.output
         assert not (workdir["out"] / "sweep_precision.csv").exists()

@@ -1,4 +1,4 @@
-"""Spectral metrics: Parseval, SNDR/ENOB, residue MSE, sensitivity oracle."""
+"""Spectral metrics: Parseval, SNDR/ENOB, sensitivity oracle."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from nnadc.errors import CoherenceError, ShapeError
 from nnadc.metrics import (
     enob_of_codes,
     mse_to_enob_sensitivity,
-    residue_mse,
     sndr_enob,
     spectrum,
     spectrum_csv_rows,
@@ -80,24 +79,20 @@ class TestSndrEnob:
             sndr_enob(np.zeros(4096), 1.0, 128.0 / 4096)
 
 
-class TestResidueMse:
-    def test_identical_functions(self):
-        f = lambda v: 2.0 * v % 1.0
-        assert residue_mse(f, f, 1.0) == 0.0
-
-    def test_constant_offset(self):
-        assert residue_mse(lambda v: v + 0.1, lambda v: v, 1.0) == \
-            pytest.approx(0.01, abs=1e-12)
-
-    def test_rejects_scalar_function(self):
-        with pytest.raises(ShapeError):
-            residue_mse(lambda v: 1.0, lambda v: v, 1.0)
-
-
 class TestMseSensitivity:
     def test_zero_noise_matches_ideal(self):
         enob0 = mse_to_enob_sensitivity(8, 0.0)
         assert enob0 == pytest.approx(IDEAL_ENOB[8], abs=0.01)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_zero_noise_low_resolution(self, m):
+        enob = mse_to_enob_sensitivity(m, 0.0)
+        assert enob == pytest.approx(IDEAL_ENOB[m], abs=0.01)
+
+    def test_one_bit_ignores_residue_noise(self):
+        # no stage after the first one reads its residue
+        assert (mse_to_enob_sensitivity(1, 1e-2, seed=3)
+                == mse_to_enob_sensitivity(1, 0.0))
 
     def test_monotone_in_injected_mse(self):
         enobs = [mse_to_enob_sensitivity(8, m, seed=1)

@@ -26,7 +26,7 @@ from nnadc.crossbar import (
     vmm,
     weights_from_conductances,
 )
-from nnadc.errors import ShapeError
+from nnadc.errors import NnadcError, ShapeError
 from nnadc.pipeline import (
     PipelineConfig,
     convert,
@@ -231,6 +231,12 @@ class TestConvertMatchesReference:
         p = PipelineConfig(stages=(tiny_stage,), enc=EncodingScheme())
         with pytest.raises(ShapeError):
             convert(p, np.zeros((4, 2)))
+
+    def test_terminal_stage_before_last(self, mixed_pipeline):
+        terminal = mixed_pipeline.stages[-1]
+        p = PipelineConfig(stages=(terminal, terminal), enc=EncodingScheme())
+        with pytest.raises(NnadcError, match="residue-less terminal stage"):
+            convert(p, np.linspace(0.0, 1.0, 9))
 
     def test_consecutive_calls_do_not_alias(self, tiny_stage):
         p = PipelineConfig(stages=(tiny_stage,) * 8, enc=EncodingScheme())

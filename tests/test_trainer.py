@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from nnadc import trainer as trainer_module
 from nnadc.crossbar import DeviceGrid, quantize_weight, vmm
-from nnadc.errors import ConfigError, ShapeError
+from nnadc.errors import ConfigError, ShapeError, TrainingError
 from nnadc.signal_core import EncodingScheme, StageSpec, smooth_decode_array
 from nnadc.trainer import (
     COMPARATOR_WIDTH_RATIO,
@@ -543,22 +543,34 @@ class TestTrainStage:
         assert stage.residue_layers is None
         assert "residue_mse" not in stage.train_metrics
 
-    def test_residue_sees_trained_subadc_bits(self):
+    def test_residue_sees_trained_subadc_bits(self, monkeypatch):
         spec = StageSpec(resolution_bits=1, vdd=VDD)
         seen = []
 
-        def hook(v, bits):
-            seen.append((v.copy(), bits.copy()))
+        def spy(params, x, targets, family, kind, *args, **kwargs):
+            if kind == "residue":
+                seen.append(x.copy())
+            return backprop(params, x, targets, family, kind, *args, **kwargs)
 
-        stage = train_stage(spec, EncodingScheme(), FAMILY, GRID, TINY,
-                            residue_input_hook=hook)
-        assert seen
-        v, bits = seen[-1]
-        # the digital inputs are the trained sub-ADC's own hard outputs
-        np.testing.assert_array_equal(
-            bits, subadc_hard_bits(stage.subadc, v, spec, FAMILY))
+        monkeypatch.setattr(trainer_module, "backprop", spy)
+        stage = train_stage(spec, EncodingScheme(), FAMILY, GRID, TINY)
+        assert len(seen) == TINY.total_iters
         rail = stage.nominal.v_high
-        assert set(np.unique(bits)) <= {0.0, rail}
+        for x in seen:
+            # the residue network trains on the trained sub-ADC's own
+            # hard outputs, never on the ideal code
+            bits = subadc_hard_bits(stage.subadc, x[:, 0], spec, FAMILY)
+            np.testing.assert_array_equal(x[:, 1:], bits)
+            assert set(np.unique(bits)) <= {0.0, rail}
+
+    def test_non_finite_loss(self, monkeypatch):
+        monkeypatch.setattr(trainer_module, "backprop",
+                            lambda *args, **kwargs: (np.nan, {}))
+        with pytest.raises(TrainingError,
+                           match="subadc loss became non-finite") as info:
+            train_stage(StageSpec(resolution_bits=1, vdd=VDD),
+                        EncodingScheme(), FAMILY, GRID, TINY)
+        assert (info.value.seed, info.value.iteration) == (TINY.seed, 0)
 
     def test_weights_on_grid(self):
         spec = StageSpec(resolution_bits=1, vdd=VDD)
