@@ -169,8 +169,8 @@ def cmd_build_pipeline(config_path, stage_list, out_name):
     """Assemble a pipeline description from stage model files."""
     cfg = ExperimentConfig.from_file(config_path)
     paths = [Path(p) for p in stage_list.split(",") if p]
-    # stage files and total resolution are checked before anything is
-    # written, so a failed build leaves no pipeline file behind
+    # stage files, total resolution and residues are checked before
+    # anything is written, so a failed build leaves no pipeline file
     _pipe.PipelineConfig(stages=tuple(map(modelio.load_stage, paths)),
                          enc=cfg.encoding)
     out = cfg.out_dir() / out_name
@@ -267,7 +267,7 @@ def cmd_export(config_path, pipeline_path, mode, force):
     p = _load_pipeline(cfg, pipeline_path, force)
     stim = _stimulus(cfg, p.enc)
     codes = _pipe.convert(p, stim.samples, mode)
-    rec = (codes + 0.5) / (1 << p.reso)
+    rec = _metrics.code_midpoints(codes, p.reso)
     res = _metrics.spectrum(rec, stim.f_s,
                             signal_bin=round(stim.f_in * cfg.stimulus_n))
     path = cfg.out_dir() / "spectrum.csv"

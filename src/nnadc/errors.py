@@ -35,10 +35,10 @@ class CoherenceError(NnadcError):
 
 
 class TrainingError(NnadcError):
-    """Training diverged; carries seed and iteration for reproduction."""
+    """Training diverged; carries seed and iteration for reproduction,
+    which its message names too."""
 
-    def __init__(self, message: str, seed: int | None = None,
-                 iteration: int | None = None):
-        super().__init__(message)
+    def __init__(self, message: str, seed: int, iteration: int):
+        super().__init__(f"{message} (seed {seed}, iteration {iteration})")
         self.seed = seed
         self.iteration = iteration

@@ -98,10 +98,14 @@ def mse_to_enob_sensitivity(pipeline_reso: int, injected_mse: float,
     return enob_of_codes(code, pipeline_reso, stim.f_s, stim.f_in)[1]
 
 
+def code_midpoints(codes, reso: int):
+    """Midpoints, normalized to [0, 1), of integer codes ``reso`` bits wide."""
+    return (np.asarray(codes, dtype=float) + 0.5) / (1 << reso)
+
+
 def enob_of_codes(codes: np.ndarray, reso: int, f_s: float, f_in: float):
     """SNDR/ENOB of a code sequence via midpoint reconstruction."""
-    rec = (np.asarray(codes, dtype=float) + 0.5) / (1 << reso)
-    return sndr_enob(rec, f_s, f_in)
+    return sndr_enob(code_midpoints(codes, reso), f_s, f_in)
 
 
 def spectrum_csv_rows(res: SpectrumResult):

@@ -3,12 +3,13 @@
 Stages are chained: each resolves its level and hands a residue to the
 next; the digital combiner concatenates the per-stage levels MSB first.
 Behavioral stages evaluate through their instantiated crossbar layers,
-so Monte Carlo resistance perturbation flows into the conversion.
+so Monte Carlo resistance perturbation flows into the conversion; ideal
+mode runs the same chain on each stage's oracles.
 
-Behavioral work buffers are column-major, so each voltage, neuron and
-comparator-bit column is contiguous over the samples, except the hidden
-buffer of a one-column output layer: numpy runs that product as a gemv,
-whose summation order follows its input's memory order.
+Work buffers are column-major, so each voltage, neuron and comparator-bit
+column is contiguous over the samples, except the hidden buffer of a
+one-column output layer: numpy runs that product as a gemv, whose
+summation order follows its input's memory order.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .signal_core import (
     stage_level_targets,
 )
 from .vtc import vtc_eval
+
+_NO_RESIDUE = "residue requested from a residue-less terminal stage"
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,10 @@ class PipelineConfig:
         if self.reso > MAX_RESO:
             raise ConfigError(f"total resolution {self.reso} exceeds "
                               f"{MAX_RESO} bits")
+        # every stage but the last feeds a residue on; an IdealStage's
+        # comes from the oracles
+        if not all(getattr(s, "has_residue", True) for s in self.stages[:-1]):
+            raise NnadcError(_NO_RESIDUE)
 
     @property
     def reso(self) -> int:
@@ -87,11 +94,6 @@ def _work(bufs: dict, key: str, shape: tuple, order: str = "F") -> np.ndarray:
     return buf
 
 
-def _stage_input(bufs: dict, stage, n: int) -> np.ndarray:
-    """(n, 1 + S) input buffer of a stage: voltages, then its S bits."""
-    return _work(bufs, "in", (n, 1 + stage.spec.smooth_width))
-
-
 def _net(layers, x: np.ndarray, nominal, bufs: dict) -> np.ndarray:
     """Output-column voltages of one two-crossbar network."""
     l1, l2 = layers
@@ -103,98 +105,86 @@ def _net(layers, x: np.ndarray, nominal, bufs: dict) -> np.ndarray:
 
 
 def stage_forward(stage, inp: np.ndarray, res_out, bufs: dict) -> np.ndarray:
-    """One behavioral stage on work buffers; returns the decoded levels.
+    """One stage on work buffers; returns its levels.
 
-    ``inp`` is a ``_stage_input`` buffer whose column 0 holds the input
-    voltages.  The comparators write their rail-valued bits into the
-    columns after it, where the residue network reads them.  If
-    ``res_out`` is given, the clipped residue is written into it; it may
-    be ``inp[:, 0]``.
+    ``inp`` is an (n, 1 + S) buffer whose column 0 holds the input
+    voltages.  An ``IdealStage`` takes its level and residue from the
+    oracles.  A trained stage's comparators write their rail-valued bits
+    into the columns after column 0, where its residue network reads
+    them.  If ``res_out`` is given, the clipped residue is written into
+    it; it may be ``inp[:, 0]``.
     """
+    spec = stage.spec
     if isinstance(stage, IdealStage):
-        raise ConfigError("behavioral mode needs a trained stage")
-    spec, nominal = stage.spec, stage.nominal
+        v = inp[:, 0]
+        lvl = stage_level_targets(v, spec, stage.enc)
+        if res_out is not None:
+            res_out[:] = residue_targets(v, lvl, spec, stage.enc)
+        return lvl
+    nominal = stage.nominal
     pre2 = _net(stage.subadc_layers, inp[:, :1], nominal, bufs)
     unit_bits = np.greater(pre2, spec.vdd / 2.0, out=pre2)
     lvl = signal_core.smooth_decode_array(unit_bits, spec)
     np.multiply(unit_bits, nominal.v_high, out=inp[:, 1:])
     if res_out is not None:
         if not stage.has_residue:
-            raise NnadcError("residue requested from a residue-less "
-                             "terminal stage")
+            raise NnadcError(_NO_RESIDUE)
         out = _net(stage.residue_layers, inp, nominal, bufs)
         np.clip(out[:, 0], 0.0, spec.vdd, out=res_out)
     return lvl
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("ideal", "behavioral"):
+def _chain(stages, v, mode: str, need_residue: bool = False):
+    """(codes, last residue or None) of voltages ``v`` through ``stages``.
+
+    The codes concatenate the stages' levels MSB first.  Ideal mode runs
+    each stage's oracles in its place.  The work buffers are allocated
+    once and shared by every stage; each stage writes its residue
+    straight into the next stage's input buffer.
+    """
+    if mode == "ideal":
+        stages = [IdealStage(s.spec, s.enc) for s in stages]
+    elif mode != "behavioral":
         raise ConfigError(f"unknown simulation mode {mode!r}")
+    elif any(isinstance(s, IdealStage) for s in stages):
+        raise ConfigError("behavioral mode needs a trained stage")
+    x = np.atleast_1d(np.asarray(v, dtype=float))
+    if x.ndim != 1:
+        raise ShapeError(f"expected a 1-D array of input voltages, got "
+                         f"shape {x.shape}")
+    n, bufs = x.size, {}
+    ins = [_work(bufs, "in", (n, 1 + s.spec.smooth_width)) for s in stages]
+    outs = [b[:, 0] for b in ins[1:]]
+    outs.append(np.empty(n) if need_residue else None)
+    ins[0][:, 0] = x
+    codes = np.zeros(n, dtype=np.int64)
+    for stage, inp, out in zip(stages, ins, outs):
+        codes <<= stage.spec.resolution_bits
+        codes += stage_forward(stage, inp, out, bufs)
+    return codes, outs[-1]
 
 
 def stage_levels(stage, v: np.ndarray, mode: str = "behavioral",
                  need_residue: bool = False):
     """Vectorized single-stage conversion: (levels, residues or None)."""
-    _check_mode(mode)
-    if mode == "ideal":
-        spec, enc = stage.spec, stage.enc
-        lvl = stage_level_targets(v, spec, enc)
-        res = residue_targets(v, lvl, spec, enc) if need_residue else None
-        return lvl, res
-    bufs = {}
-    inp = _stage_input(bufs, stage, v.shape[0])
-    inp[:, 0] = v
-    res = np.empty(v.shape[0]) if need_residue else None
-    return stage_forward(stage, inp, res, bufs), res
+    return _chain((stage,), v, mode, need_residue)
 
 
 def simulate_stage(stage, v: float, mode: str = "behavioral",
                    need_residue: bool = True):
     """(level, residue) of one stage for a scalar input voltage."""
-    arr = np.asarray([v], dtype=float)
-    lvl, res = stage_levels(stage, arr, mode, need_residue)
+    lvl, res = stage_levels(stage, v, mode, need_residue)
     return int(lvl[0]), (float(res[0]) if res is not None else None)
 
 
 def convert(p: PipelineConfig, v, mode: str = "behavioral") -> np.ndarray:
-    """Vectorized pipeline conversion to integer codes.
-
-    A behavioral conversion allocates its work buffers once and hands
-    them to every stage; each stage writes its residue straight into the
-    next stage's input buffer.
-    """
-    _check_mode(mode)
-    x = np.atleast_1d(np.asarray(v, dtype=float))
-    if x.ndim != 1:
-        raise ShapeError(f"expected a 1-D array of input voltages, got "
-                         f"shape {x.shape}")
-    n = x.size
-    codes = np.zeros(n, dtype=np.int64)
-    last = len(p.stages) - 1
-    if mode == "ideal":
-        r = x
-        for i, stage in enumerate(p.stages):
-            lvl, res = stage_levels(stage, r, mode, need_residue=i < last)
-            codes <<= stage.spec.resolution_bits
-            codes += lvl
-            r = res
-        return codes
-    bufs = {}
-    inp = _stage_input(bufs, p.stages[0], n)
-    inp[:, 0] = x
-    for i, stage in enumerate(p.stages):
-        nxt = _stage_input(bufs, p.stages[i + 1], n) if i < last else None
-        lvl = stage_forward(stage, inp, None if nxt is None else nxt[:, 0],
-                            bufs)
-        codes <<= stage.spec.resolution_bits
-        codes += lvl
-        inp = nxt
-    return codes
+    """Vectorized pipeline conversion to integer codes."""
+    return _chain(p.stages, v, mode)[0]
 
 
 def reconstruct(code, enc: EncodingScheme, width: int):
     """Midpoint reconstruction of integer codes ``width`` bits wide."""
-    out = enc.denormalize((np.asarray(code, dtype=float) + 0.5) / (1 << width))
+    out = enc.denormalize(_metrics.code_midpoints(code, width))
     return float(out) if np.isscalar(code) else out
 
 

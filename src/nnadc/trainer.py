@@ -46,6 +46,8 @@ COMPARATOR_WIDTH_START = 0.2
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# ±1-level steps in one basin-hopping kick.
+HOP_MOVES = 3
 
 
 @dataclass
@@ -56,7 +58,6 @@ class TrainConfig:
     lr_start: float = 1e-3
     lr_end: float = 1e-4
     seed: int = 0
-    redraw_vtc: bool = True
     refine_passes: int = 4  # discrete post-training refinement sweeps
     refine_hops: int = 20   # random-restart hops around the refined point
 
@@ -376,11 +377,11 @@ def refine_discrete(params: MlpParams, grid: DeviceGrid, bias_drive: float,
 
 
 def _bump_levels(params: MlpParams, grid: DeviceGrid, bias_drive: float,
-                 rng: np.random.Generator, n_moves: int = 3) -> MlpParams:
+                 rng: np.random.Generator) -> MlpParams:
     """Random neighbor on the level lattice: a few ±1-level steps."""
     p = params.copy()
     slots = _slots(p, bias_drive)
-    for _ in range(n_moves):
+    for _ in range(HOP_MOVES):
         name, fan_in, scale = slots[int(rng.integers(len(slots)))]
         lev = grid.weight_levels(fan_in)
         arr = getattr(p, name)
@@ -476,14 +477,15 @@ def _train_net(kind: str, make_batch, f_in: int, hidden: int, f_out: int,
 
     params = _init_params(f_in, hidden, f_out, grid, bias_drive, vdd,
                           family.nominal.v_m, rng)
+    # iteration 0 redraws this assignment; the draw keeps its place in
+    # the seeded stream
     params.vtc_assignment = rng.integers(len(family), size=hidden)
     state = AdamState()
     snap: MlpParams | None = None
     snap_score = np.inf
     decay = COMPARATOR_WIDTH_RATIO / COMPARATOR_WIDTH_START
     for it in range(config.total_iters):
-        if config.redraw_vtc:
-            params.vtc_assignment = rng.integers(len(family), size=hidden)
+        params.vtc_assignment = rng.integers(len(family), size=hidden)
         x, targets = make_batch(config.batch_size, rng)
         frac = it / max(config.total_iters - 1, 1)
         ratio = COMPARATOR_WIDTH_START * decay ** frac

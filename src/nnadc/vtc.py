@@ -83,10 +83,10 @@ class VtcFamily:
         return arrays
 
 
-def nominal_vtc(vdd: float, supply_ratio: float = SUPPLY_RATIO) -> VtcParams:
+def nominal_vtc(vdd: float) -> VtcParams:
     """Nominal inverter: midpoint vdd/2, scale vdd/30, rails (0, supply)."""
     return VtcParams(v_m=vdd / 2.0, s=TRANSITION_RATIO * vdd,
-                     v_high=supply_ratio * vdd, v_low=0.0)
+                     v_high=SUPPLY_RATIO * vdd, v_low=0.0)
 
 
 def _logistic(z, out=None):

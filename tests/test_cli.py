@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from nnadc.cli import (EXIT_CONFIG, EXIT_INPUT, EXIT_MODEL_REF,
                        EXIT_TRAINING, main)
+from nnadc.config import split_seed
 
 
 @pytest.fixture()
@@ -73,7 +74,9 @@ class TestTrainStage:
         res = runner.invoke(main, ["train-stage", "--config",
                                    str(workdir["cfg"])])
         assert res.exit_code == EXIT_TRAINING, res.output
-        assert "error: subadc loss became non-finite" in res.output
+        seed = split_seed(1, "train-n1")  # the workdir config's seed is 1
+        assert (f"error: subadc loss became non-finite (seed {seed}, "
+                "iteration 0)") in res.output
         assert not (workdir["out"] / "stage_metrics.csv").exists()
 
     def test_bad_config_exit_code(self, runner, workdir, tmp_path):
@@ -209,13 +212,9 @@ class TestPipelineCommands:
         res = runner.invoke(main, [
             "build-pipeline", "--config", str(workdir["cfg"]),
             "--stages", f"{stage},{stage}"])
-        assert res.exit_code == 0, res.output
-        res = runner.invoke(main, [
-            "simulate", "--config", str(workdir["cfg"]),
-            "--pipeline", str(workdir["out"] / "pipeline.json")])
         assert res.exit_code == EXIT_INPUT, res.output
         assert "error: residue requested from a residue-less" in res.output
-        assert not (workdir["out"] / "trace.csv").exists()
+        assert not (workdir["out"] / "pipeline.json").exists()
 
     def test_missing_stage_ref_exit_code(self, runner, workdir):
         res = runner.invoke(main, [

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nnadc.dse import CostTable
-from nnadc.errors import ConfigError, ModelRefError, PrecisionError
+from nnadc.errors import (ConfigError, ModelRefError, NnadcError,
+                          PrecisionError)
 from nnadc.modelio import (
     canonical_json,
     config_hash,
@@ -230,7 +231,8 @@ class TestPipelineFiles:
     @given(st.lists(stages(), min_size=1, max_size=3), encodings(),
            st.data())
     def test_any_pipeline_round_trips(self, stage_list, enc, data):
-        """Stage paths in and below other folders, possibly repeated."""
+        """Stage paths in and below other folders, possibly repeated; a
+        residue-less stage before the last is refused on load."""
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             paths = [tmp / data.draw(st.sampled_from(["", "a", "a/b"]))
@@ -246,6 +248,10 @@ class TestPipelineFiles:
             refs = json.loads(pp.read_text())["stages"]
             assert [(pp.parent / r).resolve() for r in refs] == \
                 [paths[i].resolve() for i in order]
+            if not all(stage_list[i].has_residue for i in order[:-1]):
+                with pytest.raises(NnadcError, match="residue-less"):
+                    load_pipeline(pp)
+                return
             p = load_pipeline(pp)
             assert p.enc == enc
             assert len(p.stages) == len(order)

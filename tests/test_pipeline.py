@@ -20,6 +20,7 @@ from nnadc.pipeline import (
     perturbed_stage,
     reconstruct,
     simulate_stage,
+    stage_levels,
 )
 from nnadc.signal_core import (
     EncodingScheme,
@@ -60,10 +61,15 @@ class TestGoldenVector:
 
 
 class TestIdealEquivalence:
-    @pytest.mark.parametrize("comp", [(1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 2)])
-    def test_matches_flat_quantizer(self, comp):
-        p = ideal_pipeline(comp)
-        reso = sum(comp)
+    @pytest.mark.parametrize("comp", [(1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 2),
+                                      "trained"])
+    def test_matches_flat_quantizer(self, comp, request):
+        if comp == "trained":  # ideal mode swaps in each stage's oracles
+            p = PipelineConfig(
+                stages=(request.getfixturevalue("tiny_stage"),) * 4, enc=ENC)
+        else:
+            p = ideal_pipeline(comp)
+        reso = p.reso
         rng = np.random.default_rng(0)
         v = rng.uniform(0.0, VDD, size=20_000)
         # keep clear of code-boundary float ties
@@ -117,8 +123,10 @@ class TestPipelineConfig:
 
     def test_unknown_mode(self):
         p = ideal_pipeline((1, 1))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown simulation mode"):
             convert(p, np.array([0.5]), mode="spice")
+        with pytest.raises(ConfigError, match="unknown simulation mode"):
+            stage_levels(p.stages[0], np.array([0.5]), mode="spice")
 
 
 class TestReconstruct:
@@ -154,9 +162,11 @@ class TestBehavioral:
         assert codes.min() >= 0 and codes.max() < 4
 
     def test_behavioral_rejects_ideal_stage(self):
+        p = ideal_pipeline((1, 1))
         with pytest.raises(ConfigError, match="trained stage"):
-            convert(ideal_pipeline((1, 1)), np.array([0.3]),
-                    mode="behavioral")
+            convert(p, np.array([0.3]), mode="behavioral")
+        with pytest.raises(ConfigError, match="trained stage"):
+            stage_levels(p.stages[0], np.array([0.3]), need_residue=True)
 
     def test_perturbation_sigma_zero_identity(self, tiny_trained_pipeline):
         p = tiny_trained_pipeline

@@ -234,9 +234,13 @@ class TestConvertMatchesReference:
 
     def test_terminal_stage_before_last(self, mixed_pipeline):
         terminal = mixed_pipeline.stages[-1]
-        p = PipelineConfig(stages=(terminal, terminal), enc=EncodingScheme())
         with pytest.raises(NnadcError, match="residue-less terminal stage"):
-            convert(p, np.linspace(0.0, 1.0, 9))
+            PipelineConfig(stages=(terminal, terminal), enc=EncodingScheme())
+        v = np.linspace(0.0, 1.0, 9)
+        with pytest.raises(NnadcError, match="residue-less terminal stage"):
+            stage_levels(terminal, v, need_residue=True)
+        np.testing.assert_array_equal(stage_levels(terminal, v)[0],
+                                      ref_stage(terminal, v, False)[0])
 
     def test_consecutive_calls_do_not_alias(self, tiny_stage):
         p = PipelineConfig(stages=(tiny_stage,) * 8, enc=EncodingScheme())

@@ -566,8 +566,9 @@ class TestTrainStage:
     def test_non_finite_loss(self, monkeypatch):
         monkeypatch.setattr(trainer_module, "backprop",
                             lambda *args, **kwargs: (np.nan, {}))
-        with pytest.raises(TrainingError,
-                           match="subadc loss became non-finite") as info:
+        with pytest.raises(TrainingError, match=(
+                rf"subadc loss became non-finite \(seed {TINY.seed}, "
+                r"iteration 0\)")) as info:
             train_stage(StageSpec(resolution_bits=1, vdd=VDD),
                         EncodingScheme(), FAMILY, GRID, TINY)
         assert (info.value.seed, info.value.iteration) == (TINY.seed, 0)
