@@ -7,8 +7,11 @@ Submodules:
 - ``vtc``: inverter transfer-curve activation and Monte Carlo families
 - ``trainer``: hardware-aware stage training
 - ``pipeline``: stage chaining, conversion, Monte Carlo robustness
-- ``metrics``: spectrum, SNDR/ENOB, residue MSE
+- ``metrics``: spectrum, SNDR/ENOB, ENOB of a code record
+- ``sweep``: median stage accuracy vs RRAM precision under perturbation
 - ``dse``: composition enumeration and figure-of-merit optimization
+- ``modelio``: stage, pipeline and cost-table files, CSV tables
+- ``config``: JSON experiment configs and seed splitting
 - ``cli``: command-line front end
 """
 

@@ -5,23 +5,10 @@ writes its artifacts (model files, CSV tables) into the output
 directory, and records a manifest with the config hash and seeds so a
 run can be reproduced exactly.
 
-Exit codes:
-
-- 0: success;
-- 2: configuration error (``ConfigError``), including an unknown key, a
-  config field of the wrong type, a bad nested block, a ``stimulus_n``
-  that is not a power of two, an unreadable ``dse --table`` file and a
-  model file of another schema version or kind;
-- 3: training divergence (``TrainingError``);
-- 4: model-file error (``ModelRefError``): a stage or pipeline file that
-  is missing, is not JSON or lacks a field, or a stage built from another
-  config;
-- 5: any other invalid input or model data (every other ``NnadcError``,
-  e.g. a ``CoherenceError`` for a stimulus bin that shares a factor with
-  ``stimulus_n``).
-
-Each prints ``error: <message>`` to standard error.  Any other exception
-is a bug and ends in a traceback.
+Exit codes (the README's table lists what each covers): 0 success, 2
+``ConfigError``, 3 ``TrainingError``, 4 ``ModelRefError``, 5 any other
+``NnadcError``.  Each error prints ``error: <message>`` to standard
+error.  Any other exception is a bug and ends in a traceback.
 """
 
 from __future__ import annotations

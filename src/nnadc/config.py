@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .crossbar import DeviceGrid
@@ -26,19 +26,6 @@ from .vtc import (FAMILY_SIZE, S_REL_STD, V_M_STD_RATIO, VariationSpec,
 # carry their own version, modelio.SCHEMA_VERSION.
 CONFIG_SCHEMA_VERSION = 1
 
-# Scalar fields a config file may set, with the JSON types each accepts.
-_SCALAR_TYPES = {
-    "vdd": (int, float),
-    "family_size": (int,),
-    "v_m_std_ratio": (int, float),
-    "s_rel_std": (int, float),
-    "stimulus_n": (int,),
-    "stimulus_bin": (int,),
-    "mc_runs": (int,),
-    "mc_sigma": (int, float),
-    "output_dir": (str,),
-    "seed": (int,),
-}
 # Nested blocks a config file may set, with the constructor of each.
 _BLOCKS = {
     "grid": lambda d: DeviceGrid(**d),
@@ -46,7 +33,6 @@ _BLOCKS = {
     "encoding": lambda d: EncodingScheme(**d),
     "cost_table": CostTable.from_dict,
 }
-_KEYS = {"schema_version", *_SCALAR_TYPES, *_BLOCKS}
 
 
 def split_seed(master: int, name: str) -> int:
@@ -111,9 +97,20 @@ class ExperimentConfig:
                         f"{key}: {type(exc).__name__}: {exc}") from exc
         if not (math.isfinite(cfg.vdd) and cfg.vdd > 0):
             raise ConfigError("vdd: must be positive and finite")
+        for key in ("v_m_std_ratio", "s_rel_std"):
+            if not 0 <= getattr(cfg, key) < math.inf:  # NaN fails too
+                raise ConfigError(f"{key}: must be non-negative and finite")
         n = cfg.stimulus_n
         if n < 2 or n & (n - 1):
             raise ConfigError(f"stimulus_n: {n} is not a power of two")
+        if not 0 < cfg.stimulus_bin < n // 2:
+            raise ConfigError(f"stimulus_bin: {cfg.stimulus_bin} is outside "
+                              f"1..{n // 2 - 1}")
+        # the encoding range is the signal range [0, vdd]
+        enc = data.get("encoding", {})
+        if (enc.get("v_min", 0), enc.get("v_max", cfg.vdd)) != (0, cfg.vdd):
+            raise ConfigError("encoding: the range must be [0, vdd]")
+        cfg.encoding = replace(cfg.encoding, v_min=0.0, v_max=float(cfg.vdd))
         return cfg
 
     def family(self) -> VtcFamily:
@@ -131,3 +128,11 @@ class ExperimentConfig:
     def run_hash(self) -> str:
         from .modelio import config_hash
         return config_hash({"config": self.raw, "seed": self.seed})
+
+
+# Scalar fields a config file may set, with the JSON types each accepts:
+# every field but the blocks and ``raw``; a float field takes an int too.
+_SCALAR_TYPES = {
+    f.name: (int, float) if type(f.default) is float else (type(f.default),)
+    for f in fields(ExperimentConfig) if f.name not in (*_BLOCKS, "raw")}
+_KEYS = {"schema_version", *_SCALAR_TYPES, *_BLOCKS}

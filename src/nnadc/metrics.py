@@ -55,6 +55,8 @@ def sndr_enob(samples: np.ndarray, f_s: float, f_in: float):
         raise CoherenceError(f"tone at {f_in} Hz is not on an FFT bin "
                              f"(J = {j:.6f})")
     j = int(round(j))
+    if not 0 < j < n // 2:
+        raise CoherenceError(f"J = {j} is outside bins 1..{n // 2 - 1}")
     if math.gcd(j, n) != 1:
         raise CoherenceError(f"J = {j} shares a factor with n = {n}")
     res = spectrum(x, f_s, signal_bin=j)

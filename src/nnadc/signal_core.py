@@ -157,7 +157,7 @@ class DigitalCode:
 def ideal_stage_level(v, spec: StageSpec):
     """Level resolved by an ideal N-bit stage (floor convention, clamped)."""
     arr = np.asarray(v, dtype=float)
-    if np.any(arr < 0) or np.any(arr > spec.vdd):
+    if not np.all((arr >= 0) & (arr <= spec.vdd)):  # NaN fails too
         raise DomainError("input outside [0, vdd]")
     lvl = np.minimum(np.floor(arr * spec.n_levels / spec.vdd),
                      spec.n_levels - 1).astype(int)
@@ -176,7 +176,7 @@ def ideal_adc(v, m: int, enc: EncodingScheme):
     if m < 1:
         raise ConfigError("resolution must be at least 1 bit")
     arr = np.asarray(v, dtype=float)
-    if np.any(arr < enc.v_min) or np.any(arr > enc.v_max):
+    if not np.all((arr >= enc.v_min) & (arr <= enc.v_max)):  # NaN fails too
         raise DomainError("input outside the encoding range")
     t = enc.normalize(arr)
     value = np.minimum(np.floor(t * (1 << m)), (1 << m) - 1).astype(np.int64)
@@ -222,7 +222,7 @@ def smooth_decode_array(bits: np.ndarray, spec: StageSpec) -> np.ndarray:
 def log_stage_level(v_norm):
     """Bit resolved by a 1-bit stage operating on a log-encoded signal."""
     arr = np.asarray(v_norm, dtype=float)
-    if np.any(arr < 0) or np.any(arr > 1):
+    if not np.all((arr >= 0) & (arr <= 1)):  # NaN fails too
         raise DomainError("normalized input outside [0, 1]")
     bit = (np.log2(1.0 + arr) >= 0.5).astype(int)
     return int(bit) if np.isscalar(v_norm) else bit

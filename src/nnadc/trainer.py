@@ -451,23 +451,31 @@ def _init_params(f_in: int, hidden: int, f_out: int, grid: DeviceGrid,
     )
 
 
-def _train_net(kind: str, make_batch, f_in: int, hidden: int, f_out: int,
-               family: VtcFamily, grid: DeviceGrid, config: TrainConfig,
-               bias_drive: float, vdd: float, rng: np.random.Generator,
-               eval_x: np.ndarray, out_score, passes: int, restarts: int,
+def _train_net(kind: str, data, hidden: int, family: VtcFamily,
+               grid: DeviceGrid, config: TrainConfig, vdd: float,
+               rng: np.random.Generator, eval_v: np.ndarray, out_score,
+               passes: int, restarts: int,
                rng_hop: np.random.Generator) -> MlpParams:
     """One network's whole recipe: Adam, discrete refinement, basin hops.
 
-    Adam runs with a periodic clip+quantize projection; each projected
-    snapshot is scored by ``out_score`` of its inference output for
-    ``eval_x``.  The best snapshot, the final continuous parameters and
-    ``restarts`` fresh inits (drawn from ``rng_hop``; they give the
-    refiner basins the gradient run may have abandoned) are each refined
-    with ``passes`` sweeps, and the best of them is kept.  Greedy
-    refinement gets stuck when no single column or weight move improves
-    the score, so ``config.refine_hops`` random ±1-level kicks, each
-    re-refined, then replace it whenever they score better.
+    ``data(v)`` maps input voltages to the network's ``(inputs, targets)``:
+    of uniform draws on [0, vdd] for each Adam batch, of ``eval_v`` for
+    the evaluation inputs, whose widths give the fan-in and fan-out.
+    Biases are driven at the nominal rail.  Adam runs with a periodic
+    clip+quantize projection; each projected snapshot is scored by
+    ``out_score`` of its inference output for the evaluation inputs.  The
+    best snapshot, the final continuous parameters and ``restarts`` fresh
+    inits (drawn from ``rng_hop``; they give the refiner basins the
+    gradient run may have abandoned) are each refined with ``passes``
+    sweeps, and the best of them is kept.  Greedy refinement gets stuck
+    when no single column or weight move improves the score, so
+    ``config.refine_hops`` random ±1-level kicks, each re-refined, then
+    replace it whenever they score better.
     """
+    eval_x, eval_targets = data(eval_v)
+    f_in, f_out = eval_x.shape[1], eval_targets.shape[1]
+    bias_drive = family.nominal.v_high
+
     def param_score(p):
         return out_score(forward_stage(p, eval_x, family, "infer", kind, vdd))
 
@@ -481,12 +489,11 @@ def _train_net(kind: str, make_batch, f_in: int, hidden: int, f_out: int,
     # the seeded stream
     params.vtc_assignment = rng.integers(len(family), size=hidden)
     state = AdamState()
-    snap: MlpParams | None = None
-    snap_score = np.inf
+    snapshots = []
     decay = COMPARATOR_WIDTH_RATIO / COMPARATOR_WIDTH_START
     for it in range(config.total_iters):
         params.vtc_assignment = rng.integers(len(family), size=hidden)
-        x, targets = make_batch(config.batch_size, rng)
+        x, targets = data(rng.uniform(0.0, vdd, size=config.batch_size))
         frac = it / max(config.total_iters - 1, 1)
         ratio = COMPARATOR_WIDTH_START * decay ** frac
         loss, grads = backprop(params, x, targets, family, kind, vdd,
@@ -497,13 +504,8 @@ def _train_net(kind: str, make_batch, f_in: int, hidden: int, f_out: int,
         adam_step(params, grads, state, it, config)
         clip_params(params, grid, bias_drive)
         if (it + 1) % config.projection_period == 0 or it + 1 == config.total_iters:
-            projected = project(params, grid, bias_drive)
-            score = param_score(projected)
-            if score < snap_score:
-                snap_score = score
-                snap = projected
-    assert snap is not None
-    starts = [snap, params, *(
+            snapshots.append(project(params, grid, bias_drive))
+    starts = [min(snapshots, key=param_score), params, *(
         _init_params(f_in, hidden, f_out, grid, bias_drive, vdd,
                      family.nominal.v_m, rng_hop) for _ in range(restarts))]
     best = min(map(refined, starts), key=param_score)
@@ -535,56 +537,46 @@ def train_stage(spec: StageSpec, enc: EncodingScheme, family: VtcFamily,
     """
     vdd = spec.vdd
     rail = family.nominal.v_high
-    bias_drive = rail
     ss = np.random.SeedSequence(config.seed)
     rng_sub, rng_res, rng_hop = (np.random.default_rng(s)
                                  for s in ss.spawn(3))
     codes = np.asarray(spec.codes(), dtype=float)
-    eval_grid, ideal_lvl, ideal_res = stage_eval_targets(spec, enc)
+    eval_v, ideal_lvl, ideal_res = stage_eval_targets(spec, enc)
 
-    def subadc_batch(n, rng):
-        r = rng.uniform(0.0, vdd, size=(n, 1))
-        lvl = stage_level_targets(r[:, 0], spec, enc)
-        return r, codes[lvl] * rail
+    def subadc_data(v):
+        return v[:, None], codes[stage_level_targets(v, spec, enc)] * rail
 
     def sub_out_score(out):
         lvl = smooth_decode_array(out / rail, spec)
         return float(np.abs(lvl - ideal_lvl).mean())
 
     subadc = _train_net(
-        "subadc", subadc_batch, 1, spec.subadc_hidden, spec.smooth_width,
-        family, grid, config, bias_drive, vdd, rng_sub, eval_grid[:, None],
-        sub_out_score, passes=min(config.refine_passes, 2), restarts=2,
-        rng_hop=rng_hop)
+        "subadc", subadc_data, spec.subadc_hidden, family, grid, config, vdd,
+        rng_sub, eval_v, sub_out_score, passes=min(config.refine_passes, 2),
+        restarts=2, rng_hop=rng_hop)
 
-    residue = None
-    residue_layers = None
+    residue = residue_layers = None
     if train_residue:
-        def residue_batch(n, rng):
-            r = rng.uniform(0.0, vdd, size=(n, 1))
-            bits = subadc_hard_bits(subadc, r[:, 0], spec, family)
+        def residue_data(v):
+            bits = subadc_hard_bits(subadc, v, spec, family)
             lvl = smooth_decode_array(bits / rail, spec)
-            target = residue_targets(r[:, 0], lvl, spec, enc)
-            return np.hstack([r, bits]), target[:, None]
-
-        eval_bits = subadc_hard_bits(subadc, eval_grid, spec, family)
-        eval_x = np.hstack([eval_grid[:, None], eval_bits])
+            target = residue_targets(v, lvl, spec, enc)
+            return np.hstack([v[:, None], bits]), target[:, None]
 
         def res_out_score(out):
             pred = np.clip(out[:, 0], 0.0, vdd)
             return float(((pred - ideal_res) ** 2).mean())
 
         residue = _train_net(
-            "residue", residue_batch, 1 + spec.smooth_width,
-            spec.residue_hidden, 1, family, grid, config, bias_drive, vdd,
-            rng_res, eval_x, res_out_score, passes=config.refine_passes,
-            restarts=0, rng_hop=rng_hop)
-        residue_layers = instantiate_net(residue, grid, bias_drive)
+            "residue", residue_data, spec.residue_hidden, family, grid,
+            config, vdd, rng_res, eval_v, res_out_score,
+            passes=config.refine_passes, restarts=0, rng_hop=rng_hop)
+        residue_layers = instantiate_net(residue, grid, rail)
 
     stage = TrainedStage(
         spec=spec, enc=enc, nominal=family.nominal, grid=grid,
-        bias_drive=bias_drive, subadc=subadc,
-        subadc_layers=instantiate_net(subadc, grid, bias_drive),
+        bias_drive=rail, subadc=subadc,
+        subadc_layers=instantiate_net(subadc, grid, rail),
         residue=residue, residue_layers=residue_layers)
     stage.train_metrics = evaluate_stage(stage)
     return stage

@@ -55,6 +55,10 @@ class VariationSpec:
     v_m_std: float = 0.0   # absolute, volts
     s_rel_std: float = 0.0  # relative to the nominal transition scale
 
+    def __post_init__(self):
+        if not all(0 <= x < np.inf for x in (self.v_m_std, self.s_rel_std)):
+            raise ConfigError("VTC spreads must be non-negative and finite")
+
 
 @dataclass(frozen=True)
 class VtcFamily:

@@ -85,8 +85,11 @@ class TestTrainStage:
         res = runner.invoke(main, ["train-stage", "--config", str(bad)])
         assert res.exit_code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("field, value", [("vdd", "1"),
-                                              ("stimulus_n", 1000)])
+    @pytest.mark.parametrize("field, value", [
+        ("vdd", "1"), ("stimulus_n", 1000), ("v_m_std_ratio", -0.01),
+        ("s_rel_std", -0.1), ("s_rel_std", float("nan")),
+        ("stimulus_bin", 3001), ("stimulus_bin", -1),
+        ("encoding", {"v_max": 2.0})])
     def test_bad_field_exit_code(self, runner, workdir, field, value):
         cfg = json.loads(workdir["cfg"].read_text())
         cfg[field] = value

@@ -2,10 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from nnadc.config import ExperimentConfig, split_seed
 from nnadc.errors import ConfigError
+from nnadc.pipeline import IdealStage, PipelineConfig, convert
+from nnadc.signal_core import (EncodingScheme, StageSpec, ideal_adc,
+                               sine_stimulus)
 
 
 class TestSeedSplitting:
@@ -37,6 +41,8 @@ class TestFromDict:
         assert cfg.grid.precision_bits == 4
         assert cfg.train.total_iters == 10
         assert cfg.encoding.kind == "logarithmic"
+        # the encoding range follows vdd
+        assert (cfg.encoding.v_min, cfg.encoding.v_max) == (0.0, 1.2)
 
     @pytest.mark.parametrize("data, key", [
         ({"mc_run": 5}, "mc_run"),
@@ -51,7 +57,10 @@ class TestFromDict:
         ({"grid": 3}, "grid"),
         ({"encoding": {"kind": "cubic"}}, "encoding"),
         ({"cost_table": {"1": {"power": 1}}}, "cost_table"),
-        ({"cost_table": [1]}, "cost_table")])
+        ({"cost_table": [1]}, "cost_table"),
+        # an encoding range other than [0, vdd]
+        ({"vdd": 2.0, "encoding": {"v_max": 1.0}}, "encoding"),
+        ({"encoding": {"v_min": 0.5}}, "encoding")])
     def test_bad_block_is_config_error(self, data, key):
         with pytest.raises(ConfigError, match=f"^{key}: "):
             ExperimentConfig.from_dict(data)
@@ -81,6 +90,26 @@ class TestFromDict:
         with pytest.raises(ConfigError, match="stimulus_n"):
             ExperimentConfig.from_dict({"stimulus_n": n})
 
+    @pytest.mark.parametrize("data, key", [
+        ({"v_m_std_ratio": -0.01}, "v_m_std_ratio"),
+        ({"s_rel_std": -0.1}, "s_rel_std"),
+        ({"s_rel_std": float("nan")}, "s_rel_std"),
+        ({"v_m_std_ratio": float("inf")}, "v_m_std_ratio"),
+        ({"stimulus_bin": 3001}, "stimulus_bin"),
+        ({"stimulus_bin": -1}, "stimulus_bin"),
+        ({"stimulus_bin": 0}, "stimulus_bin"),
+        ({"stimulus_n": 64, "stimulus_bin": 32}, "stimulus_bin")])
+    def test_rejects_out_of_range_value(self, data, key):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            ExperimentConfig.from_dict(data)
+
+    def test_accepts_range_edges(self):
+        cfg = ExperimentConfig.from_dict({
+            "vdd": 2, "v_m_std_ratio": 0, "s_rel_std": 0.0, "stimulus_n": 64,
+            "stimulus_bin": 31, "encoding": {"v_min": 0, "v_max": 2}})
+        assert cfg.encoding == EncodingScheme(v_min=0.0, v_max=2.0)
+        assert cfg.stimulus_bin == 31
+
     def test_rejects_non_object(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict([1, 2])
@@ -102,6 +131,19 @@ class TestDerived:
         assert len(a) == 20
         cfg2 = ExperimentConfig.from_dict({"seed": 10, "family_size": 20})
         assert cfg2.family().members != a.members
+
+    def test_encoding_spans_vdd(self):
+        """An ideal 8-stage conversion at vdd 2 uses the whole code range
+        and agrees with the flat quantizer."""
+        cfg = ExperimentConfig.from_dict({"vdd": 2.0})
+        stage = IdealStage(StageSpec(resolution_bits=1, vdd=2.0), cfg.encoding)
+        p = PipelineConfig(stages=(stage,) * 8, enc=cfg.encoding)
+        stim = sine_stimulus(cfg.stimulus_n, cfg.stimulus_bin, 0.4999,
+                             cfg.encoding, cfg.vdd)
+        codes = convert(p, stim.samples, "ideal")
+        np.testing.assert_array_equal(codes, ideal_adc(stim.samples, 8,
+                                                       cfg.encoding))
+        assert (codes.min(), codes.max()) == (0, 255)
 
     def test_run_hash_depends_on_content(self):
         a = ExperimentConfig.from_dict({"seed": 1})

@@ -80,6 +80,8 @@ class TestIdealStageLevel:
             ideal_stage_level(-0.1, spec)
         with pytest.raises(DomainError):
             ideal_stage_level(1.1, spec)
+        with pytest.raises(DomainError):
+            ideal_stage_level(np.array([0.5, np.nan]), spec)
 
 
 class TestIdealResidue:
@@ -121,6 +123,8 @@ class TestIdealAdc:
     def test_domain_check(self):
         with pytest.raises(DomainError):
             ideal_adc(1.5, 4, EncodingScheme())
+        with pytest.raises(DomainError):
+            ideal_adc(np.array([0.5, np.nan]), 4, EncodingScheme())
 
 
 class TestEncodingScheme:
@@ -222,6 +226,8 @@ class TestLogStages:
     def test_domain_check(self):
         with pytest.raises(DomainError):
             log_stage_level(1.5)
+        with pytest.raises(DomainError):
+            log_stage_level(np.array([np.nan]))
 
 
 class TestSineStimulus:
@@ -233,7 +239,8 @@ class TestSineStimulus:
             return sndr_enob(stim.samples, stim.f_s, stim.f_in)
 
         measure(127)
-        for tone_bin in (128, 0.031 * 4096):
+        # off-bin, sharing a factor with n, and outside 1..n/2 - 1
+        for tone_bin in (128, 0.031 * 4096, 3001, -1, 2048, 0):
             with pytest.raises(CoherenceError):
                 measure(tone_bin)
 

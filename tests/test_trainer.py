@@ -55,6 +55,45 @@ def random_params(f_in, hidden, f_out, rng, grid=GRID, bias_drive=None):
     )
 
 
+# (id, resolution bits, encoding, weight precision bits, sub-ADC level
+# indices, residue level indices or None for a terminal stage,
+# train_metrics), recorded with ``test_restarts_and_hops_pinned``'s config
+PINNED_STAGES = [
+    ("1bit-linear", 1, "linear", 3,
+     {"w1": [[6, 6, 7]], "b1": [5, 4, 4],
+      "w2": [[1, 3], [6, 3], [1, 1]], "b2": [4, 5]},
+     {"w1": [[1, 6, 7, 7, 0], [0, 0, 0, 2, 0], [0, 0, 0, 3, 0]],
+      "b1": [7, 7, 6, 6, 6], "w2": [[6], [0], [2], [3], [7]], "b2": [4]},
+     {"subadc_enob": -np.inf, "residue_mse": 0.06432000720429001}),
+    ("2bit-linear", 2, "linear", 3,
+     {"w1": [[0, 1, 0, 0]], "b1": [6, 5, 5, 0],
+      "w2": [[1, 7, 7], [4, 2, 6], [0, 4, 6], [1, 7, 1]], "b2": [5, 4, 5]},
+     {"w1": [[6, 7, 6, 6, 5, 1, 6], [3, 2, 3, 2, 3, 3, 3],
+             [4, 3, 3, 0, 0, 5, 7], [5, 0, 3, 6, 4, 2, 4]],
+      "b1": [5, 6, 7, 6, 6, 7, 6],
+      "w2": [[2], [3], [2], [5], [6], [6], [6]], "b2": [5]},
+     {"subadc_enob": 1.2630720582960264, "residue_mse": 0.06845330315311446}),
+    ("1bit-log", 1, "logarithmic", 3,
+     {"w1": [[6, 6, 7]], "b1": [5, 4, 4],
+      "w2": [[1, 3], [6, 3], [1, 1]], "b2": [4, 5]},
+     {"w1": [[2, 6, 0, 7, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]],
+      "b1": [7, 6, 6, 7, 6], "w2": [[7], [1], [4], [0], [7]], "b2": [4]},
+     {"subadc_enob": -np.inf, "residue_mse": 0.06311740025892794}),
+    ("3bit-terminal", 3, "linear", 3,
+     {"w1": [[5, 5, 0, 3, 0, 2]], "b1": [5, 5, 5, 5, 6, 5],
+      "w2": [[0, 3, 3, 7], [0, 2, 4, 5], [5, 4, 5, 6], [6, 5, 5, 6],
+             [2, 1, 1, 0], [6, 7, 5, 5]], "b2": [4, 5, 4, 4]},
+     None,
+     {"subadc_enob": 1.8474362456887035}),
+    ("1bit-ar4", 1, "linear", 4,
+     {"w1": [[0, 13, 0]], "b1": [13, 9, 0],
+      "w2": [[13, 15], [8, 2], [15, 12]], "b2": [9, 14]},
+     {"w1": [[3, 13, 3, 15, 3], [10, 7, 6, 7, 5], [7, 6, 11, 7, 12]],
+      "b1": [13, 14, 13, 13, 12], "w2": [[15], [0], [11], [2], [15]],
+      "b2": [10]},
+     {"subadc_enob": 0.7557925188983035, "residue_mse": 0.019374327124880637}),
+]
+
 class TestGradients:
     @pytest.mark.parametrize("case", range(20))
     def test_matches_finite_differences(self, case):
@@ -581,23 +620,23 @@ class TestTrainStage:
             assert np.all(np.isclose(params.w1[..., None], levels,
                                      atol=1e-12).any(axis=-1))
 
-    def test_restarts_and_hops_pinned(self):
+    @pytest.mark.parametrize("case", PINNED_STAGES, ids=lambda c: c[0])
+    def test_restarts_and_hops_pinned(self, case):
         """The whole per-network recipe on a tiny budget: sub-ADC restarts,
         refinement of every start and basin hops of both networks, in the
         order they draw from the shared hop generator.  Weights are level
         indices, as in ``TestRefineCandidateSequence``."""
+        _, bits, kind, precision, sub, res, metrics = case
         cfg = dataclasses.replace(TINY, refine_passes=1, refine_hops=2)
-        stage = train_stage(StageSpec(resolution_bits=1, vdd=VDD),
-                            EncodingScheme(), FAMILY, GRID, cfg)
+        stage = train_stage(StageSpec(resolution_bits=bits, vdd=VDD),
+                            EncodingScheme(kind), FAMILY,
+                            DeviceGrid(precision_bits=precision), cfg,
+                            train_residue=res is not None)
         indices = TestRefineCandidateSequence.level_indices
-        assert indices(stage, stage.subadc) == {
-            "w1": [[6, 6, 7]], "b1": [5, 4, 4],
-            "w2": [[1, 3], [6, 3], [1, 1]], "b2": [4, 5]}
-        assert indices(stage, stage.residue) == {
-            "w1": [[1, 6, 7, 7, 0], [0, 0, 0, 2, 0], [0, 0, 0, 3, 0]],
-            "b1": [7, 7, 6, 6, 6],
-            "w2": [[6], [0], [2], [3], [7]], "b2": [4]}
-        assert stage.train_metrics["residue_mse"] == 0.06432000720429001
+        assert indices(stage, stage.subadc) == sub
+        if res is not None:
+            assert indices(stage, stage.residue) == res
+        assert stage.train_metrics == metrics
 
     def test_evaluate_stage_deterministic(self):
         spec = StageSpec(resolution_bits=1, vdd=VDD)

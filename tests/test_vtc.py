@@ -85,6 +85,13 @@ class TestFamilies:
         vm = np.array([p.v_m for p in fam.members])
         assert 0.02 * 0.7 < vm.std() < 0.02 * 1.3
 
+    @pytest.mark.parametrize("spread", [
+        {"v_m_std": -0.01}, {"s_rel_std": -0.1}, {"v_m_std": np.nan},
+        {"s_rel_std": np.inf}])
+    def test_bad_spread_rejected(self, spread):
+        with pytest.raises(ConfigError, match="spreads"):
+            VariationSpec(**spread)
+
     def test_empty_family_rejected(self):
         with pytest.raises(ConfigError):
             sample_family(0, VariationSpec(), 0, nominal_vtc(1.0))
