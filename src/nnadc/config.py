@@ -49,7 +49,7 @@ class ExperimentConfig:
     v_m_std_ratio: float = V_M_STD_RATIO   # of vdd
     s_rel_std: float = S_REL_STD
     train: TrainConfig = field(default_factory=TrainConfig)
-    encoding: EncodingScheme = field(default_factory=EncodingScheme)
+    encoding: EncodingScheme | None = None  # None: linear on [0, vdd]
     stimulus_n: int = TONE_N
     stimulus_bin: int = TONE_BIN
     mc_runs: int = 100
@@ -77,7 +77,7 @@ class ExperimentConfig:
         unknown = sorted(set(data) - _KEYS)
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-        cfg = cls(raw=data)
+        values = {}
         for key, types in _SCALAR_TYPES.items():
             if key in data:
                 value = data[key]
@@ -86,32 +86,41 @@ class ExperimentConfig:
                     wanted = " or ".join(t.__name__ for t in types)
                     raise ConfigError(f"{key}: expected {wanted}, got "
                                       f"{type(value).__name__} {value!r}")
-                setattr(cfg, key, value)
+                values[key] = value
         for key, build in _BLOCKS.items():
             if key in data:
+                block = data[key]
+                if key == "encoding" and isinstance(block, dict):
+                    # a block that sets no range spans [0, vdd]
+                    block = {"v_min": 0, "v_max": values.get("vdd", cls.vdd),
+                             **block}
                 try:
-                    setattr(cfg, key, build(data[key]))
+                    values[key] = build(block)
                 except (NnadcError, AttributeError, KeyError, TypeError,
                         ValueError) as exc:
                     raise ConfigError(
                         f"{key}: {type(exc).__name__}: {exc}") from exc
-        if not (math.isfinite(cfg.vdd) and cfg.vdd > 0):
+        return cls(raw=data, **values)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.vdd) and self.vdd > 0):
             raise ConfigError("vdd: must be positive and finite")
         for key in ("v_m_std_ratio", "s_rel_std"):
-            if not 0 <= getattr(cfg, key) < math.inf:  # NaN fails too
+            if not 0 <= getattr(self, key) < math.inf:  # NaN fails too
                 raise ConfigError(f"{key}: must be non-negative and finite")
-        n = cfg.stimulus_n
+        n = self.stimulus_n
         if n < 2 or n & (n - 1):
             raise ConfigError(f"stimulus_n: {n} is not a power of two")
-        if not 0 < cfg.stimulus_bin < n // 2:
-            raise ConfigError(f"stimulus_bin: {cfg.stimulus_bin} is outside "
+        if not 0 < self.stimulus_bin < n // 2:
+            raise ConfigError(f"stimulus_bin: {self.stimulus_bin} is outside "
                               f"1..{n // 2 - 1}")
         # the encoding range is the signal range [0, vdd]
-        enc = data.get("encoding", {})
-        if (enc.get("v_min", 0), enc.get("v_max", cfg.vdd)) != (0, cfg.vdd):
+        if self.encoding is None:
+            self.encoding = EncodingScheme()
+        elif (self.encoding.v_min, self.encoding.v_max) != (0, self.vdd):
             raise ConfigError("encoding: the range must be [0, vdd]")
-        cfg.encoding = replace(cfg.encoding, v_min=0.0, v_max=float(cfg.vdd))
-        return cfg
+        self.encoding = replace(self.encoding, v_min=0.0,
+                                v_max=float(self.vdd))
 
     def family(self) -> VtcFamily:
         nom = nominal_vtc(self.vdd)

@@ -15,6 +15,7 @@ whole conversion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,10 +101,34 @@ def _check_batch(params: MlpParams, x: np.ndarray) -> None:
         raise ShapeError("input batch does not match the network fan-in")
 
 
+def _wide_rows(a: np.ndarray, *vectors: np.ndarray) -> tuple:
+    """C-order (n, m) ``a`` viewed as (n / k, m · k) rows, k = gcd(n, 64),
+    and each (m,) vector tiled k times to match.
+
+    numpy runs a (n, m) ⊕ (m,) step one m-element row at a time; on the
+    view it runs n / k rows of m · k elements.  Every element still meets
+    its own vector entry, so an elementwise step on the view writes into
+    ``a`` the same bits.  An odd n gives k = 1, ``a``'s own rows.
+    """
+    n, m = a.shape
+    k = math.gcd(n, 64)
+    # np.tile(stacked, k), by the repeat it runs, without its Python steps
+    tiled = np.array(vectors).repeat(k, axis=0).reshape(len(vectors), m * k)
+    return (a.reshape(n // k, m * k, copy=False), *tiled)
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b``, the bias added on wide rows."""
+    pre = x @ w
+    rows, b = _wide_rows(pre, b)
+    rows += b
+    return pre
+
+
 def _hidden(nominal: VtcParams, x: np.ndarray, w1: np.ndarray,
-            b1) -> np.ndarray:
+            b1: np.ndarray) -> np.ndarray:
     """Nominal-VTC hidden layer: one column per column of ``w1``."""
-    pre1 = x @ w1 + b1
+    pre1 = _affine(x, w1, b1)
     return vtc_eval(nominal, pre1, out=pre1)
 
 
@@ -137,20 +162,27 @@ def _forward(params: MlpParams, x: np.ndarray, family: VtcFamily,
     """Train-mode forward pass with intermediate cache for backprop.
 
     Each hidden neuron uses its assigned family member, and the sub-ADC
-    outputs pass through a steep logistic comparator surrogate.
+    outputs pass through a steep logistic comparator surrogate.  The
+    steps that combine a (batch, hidden) or (batch, outputs) array with
+    a per-neuron vector (the biases, v_m, s, the swing v_h - v_l and
+    v_l) run on ``_wide_rows``' view: the same operands meet in the same
+    order, so every value is bit for bit the formula's.  The cache holds
+    s and the swing tiled to the hidden arrays' wide rows.
     """
     _check_batch(params, x)
     if np.any(params.vtc_assignment >= len(family)):
         raise ConfigError("VTC assignment index outside the family")
     a = params.vtc_assignment
     vm, s, vh, vl = (arr[a] for arr in family.as_arrays())
-    pre1 = np.matmul(x, params.w1, out=np.empty((len(x), params.hidden)))
-    pre1 += params.b1
-    sig_h = _train_logistic(vm, pre1, s)
-    h = np.multiply(vh - vl, sig_h, out=np.empty_like(sig_h))
-    h += vl
-    pre2 = h @ params.w2
-    pre2 += params.b2
+    pre1 = x @ params.w1
+    rows, b1, vm, s, swing, vl = _wide_rows(pre1, params.b1, vm, s,
+                                            vh - vl, vl)
+    rows += b1
+    _train_logistic(vm, rows, s)  # pre1 is now sig_h
+    sig_h, h = pre1, np.empty_like(pre1)
+    h_rows = np.multiply(swing, rows, out=h.reshape(rows.shape, copy=False))
+    h_rows += vl
+    pre2 = _affine(h, params.w2, params.b2)
     if kind == "subadc":
         ws = surrogate_ratio * vdd
         sig_o = _train_logistic(vdd / 2.0, pre2, -ws)
@@ -162,7 +194,7 @@ def _forward(params: MlpParams, x: np.ndarray, family: VtcFamily,
         out, dout = pre2, 1.0
     else:
         raise ConfigError(f"unknown network kind {kind!r}")
-    return out, (sig_h, h, dout, (vm, s, vh, vl))
+    return out, (sig_h, h, dout, (s, swing))
 
 
 def forward_stage(params: MlpParams, inputs: np.ndarray, family: VtcFamily,
@@ -179,7 +211,7 @@ def forward_stage(params: MlpParams, inputs: np.ndarray, family: VtcFamily,
     _check_batch(params, x)
     decide = _decision(kind, family.nominal, vdd)
     h = _hidden(family.nominal, x, params.w1, params.b1)
-    return decide(h @ params.w2 + params.b2)
+    return decide(_affine(h, params.w2, params.b2))
 
 
 def mse_loss(outputs: np.ndarray, targets: np.ndarray) -> float:
@@ -197,15 +229,19 @@ def backprop(params: MlpParams, x: np.ndarray, targets: np.ndarray,
     In place on ``_forward``'s two (batch, hidden) arrays: ``h`` becomes
     d h / d pre1, ``sig_h`` 1 - sig_h and then d loss / d pre1.  Every
     step keeps the formula's operands, order and memory layout, so each
-    matmul and ``sum(axis=0)`` sums in its old order, bit for bit.
+    matmul and ``sum(axis=0)`` sums in its old order, bit for bit.  The
+    per-neuron factor -(v_h - v_l) / s meets sig_h on ``_forward``'s wide
+    rows, an elementwise product with the same bits.
     """
-    out, (sig_h, h, dout, (vm, s, vh, vl)) = _forward(
+    out, (sig_h, h, dout, (s, swing)) = _forward(
         params, x, family, kind, vdd, surrogate_ratio)
     loss = mse_loss(out, targets)
     d2 = 2.0 * (out - targets) / len(x) * dout    # dC/dpre2
     gw2 = h.T @ d2
     gb2 = d2.sum(axis=0)
-    dvtc = np.multiply(-(vh - vl) / s, sig_h, out=h)  # d h / d pre1
+    np.multiply(-swing / s, sig_h.reshape(-1, s.size, copy=False),
+                out=h.reshape(-1, s.size, copy=False))
+    dvtc = h  # d h / d pre1
     dvtc *= np.subtract(1.0, sig_h, out=sig_h)
     d1 = np.matmul(d2, params.w2.T, out=sig_h)  # dC/dh, then dC/dpre1
     d1 *= dvtc
@@ -302,7 +338,7 @@ def refine_discrete(params: MlpParams, grid: DeviceGrid, bias_drive: float,
     nom = family.nominal
     out_of = _decision(kind, nom, vdd)
     h = _hidden(nom, x, p.w1, p.b1)
-    pre2 = h @ p.w2 + p.b2
+    pre2 = _affine(h, p.w2, p.b2)
     best = score(out_of(pre2))
     # point-last layouts: a line's outputs are (candidate, output, point)
     h, pre2 = h.T.copy(), pre2.T.copy()

@@ -102,6 +102,8 @@ class TestFromDict:
     def test_rejects_out_of_range_value(self, data, key):
         with pytest.raises(ConfigError, match=f"^{key}: "):
             ExperimentConfig.from_dict(data)
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            ExperimentConfig(**data)
 
     def test_accepts_range_edges(self):
         cfg = ExperimentConfig.from_dict({
@@ -144,6 +146,15 @@ class TestDerived:
         np.testing.assert_array_equal(codes, ideal_adc(stim.samples, 8,
                                                        cfg.encoding))
         assert (codes.min(), codes.max()) == (0, 255)
+
+    def test_encoding_follows_vdd_in_code(self):
+        """A config built in code spans [0, vdd] as a config file does,
+        and refuses an explicit encoding with another range."""
+        assert ExperimentConfig(vdd=2.0).encoding.v_max == 2.0
+        log = EncodingScheme(kind="logarithmic", v_max=2.0)
+        assert ExperimentConfig(vdd=2.0, encoding=log).encoding == log
+        with pytest.raises(ConfigError, match="^encoding: "):
+            ExperimentConfig(vdd=2.0, encoding=EncodingScheme())
 
     def test_run_hash_depends_on_content(self):
         a = ExperimentConfig.from_dict({"seed": 1})

@@ -176,16 +176,30 @@ class TestBackpropInPlace:
     @settings(deadline=None, max_examples=300)
     @given(kind=st.sampled_from(("subadc", "residue")),
            f_in=st.integers(1, 4), hidden=st.integers(1, 9),
-           f_out=st.integers(1, 3), batch=st.integers(1, 64),
+           f_out=st.integers(1, 3), batch=st.integers(1, 256),
            assignment=st.lists(st.integers(0, len(FAMILY) - 1),
                                min_size=9, max_size=9),
            ratio=st.floats(COMPARATOR_WIDTH_RATIO / 2,
                            2 * COMPARATOR_WIDTH_START),
            scale=st.sampled_from((0.1, 1.0, 10.0)),
            low_rail=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    # the training shapes, at each row width of ``_wide_rows``: k = 64
+    # (4096, and 4160 in 65 rows), k = 32 (96 in 3 rows) and k = 1 (4095)
     @example(kind="residue", f_in=3, hidden=5, f_out=1, batch=4096,
              assignment=list(range(9)), ratio=COMPARATOR_WIDTH_RATIO,
              scale=1.0, low_rail=False, seed=0)
+    @example(kind="residue", f_in=3, hidden=5, f_out=1, batch=4095,
+             assignment=list(range(9)), ratio=COMPARATOR_WIDTH_RATIO,
+             scale=1.0, low_rail=True, seed=1)
+    @example(kind="residue", f_in=3, hidden=5, f_out=1, batch=96,
+             assignment=list(range(9)), ratio=COMPARATOR_WIDTH_RATIO,
+             scale=1.0, low_rail=False, seed=2)
+    @example(kind="residue", f_in=3, hidden=5, f_out=1, batch=4160,
+             assignment=list(range(9)), ratio=COMPARATOR_WIDTH_RATIO,
+             scale=1.0, low_rail=True, seed=3)
+    @example(kind="subadc", f_in=1, hidden=3, f_out=2, batch=4096,
+             assignment=list(range(9)), ratio=COMPARATOR_WIDTH_START,
+             scale=1.0, low_rail=False, seed=4)
     def test_matches_the_formulas(self, kind, f_in, hidden, f_out, batch,
                                   assignment, ratio, scale, low_rail, seed):
         """Loss and gradients equal the plain formulas bit for bit, and a
@@ -349,6 +363,40 @@ class TestForward:
                 if kind == "subadc" else pre2)
         got = forward_stage(params, x, FAMILY, "infer", kind, VDD)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(deadline=None, max_examples=100)
+    @given(kind=st.sampled_from(("subadc", "residue")),
+           f_in=st.integers(1, 4), hidden=st.integers(1, 9),
+           f_out=st.integers(1, 3), n=st.integers(0, 256),
+           seed=st.integers(0, 2**32 - 1))
+    @example(kind="residue", f_in=3, hidden=5, f_out=1, n=4095, seed=0)
+    @example(kind="residue", f_in=3, hidden=5, f_out=1, n=4160, seed=1)
+    @example(kind="subadc", f_in=1, hidden=3, f_out=2, n=2048, seed=2)
+    def test_infer_matches_the_formula_at_any_batch(self, kind, f_in, hidden,
+                                                    f_out, n, seed):
+        """The biases added on wide rows give the plain formula's bits for
+        every batch size, hence every row width."""
+        rng = np.random.default_rng(seed)
+        params = random_params(f_in, hidden, f_out, rng)
+        x = rng.uniform(0.0, VDD, size=(n, f_in))
+        nom = FAMILY.nominal
+        decide = trainer_module._decision(kind, nom, VDD)
+        want = decide(vtc_eval(nom, x @ params.w1 + params.b1) @ params.w2
+                      + params.b2)
+        got = forward_stage(params, x, FAMILY, "infer", kind, VDD)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n, shape", [
+        (4095, (4095, 5)), (96, (3, 160)), (4160, (65, 320))])
+    def test_wide_rows(self, n, shape):
+        """``_wide_rows`` views its array k = gcd(n, 64) rows at a time and
+        tiles each vector k times to match."""
+        a = np.arange(n * 5, dtype=float).reshape(n, 5)
+        rows, b, c = trainer_module._wide_rows(a, np.arange(5.0), -np.ones(5))
+        assert rows.shape == shape and np.shares_memory(rows, a)
+        k = shape[1] // 5
+        np.testing.assert_array_equal(b, np.tile(np.arange(5.0), k))
+        np.testing.assert_array_equal(c, -np.ones(5 * k))
 
     def test_mse_loss_shape(self):
         with pytest.raises(ShapeError):
