@@ -90,10 +90,12 @@ class ExperimentConfig:
         for key, build in _BLOCKS.items():
             if key in data:
                 block = data[key]
-                if key == "encoding" and isinstance(block, dict):
-                    # a block that sets no range spans [0, vdd]
-                    block = {"v_min": 0, "v_max": values.get("vdd", cls.vdd),
-                             **block}
+                vdd = values.get("vdd", cls.vdd)
+                # a block that sets no range spans [0, vdd]; a bad vdd is
+                # left to __post_init__, which refuses it first
+                if (key == "encoding" and isinstance(block, dict)
+                        and 0 < vdd < math.inf):
+                    block = {"v_min": 0, "v_max": vdd, **block}
                 try:
                     values[key] = build(block)
                 except (NnadcError, AttributeError, KeyError, TypeError,

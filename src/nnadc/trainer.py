@@ -114,21 +114,16 @@ def _wide_rows(a: np.ndarray, *vectors: np.ndarray) -> tuple:
     k = math.gcd(n, 64)
     # np.tile(stacked, k), by the repeat it runs, without its Python steps
     tiled = np.array(vectors).repeat(k, axis=0).reshape(len(vectors), m * k)
-    return (a.reshape(n // k, m * k, copy=False), *tiled)
-
-
-def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``x @ w + b``, the bias added on wide rows."""
-    pre = x @ w
-    rows, b = _wide_rows(pre, b)
-    rows += b
-    return pre
+    return (a.reshape(n // k, m * k), *tiled)
 
 
 def _hidden(nominal: VtcParams, x: np.ndarray, w1: np.ndarray,
             b1: np.ndarray) -> np.ndarray:
-    """Nominal-VTC hidden layer: one column per column of ``w1``."""
-    pre1 = _affine(x, w1, b1)
+    """Nominal-VTC hidden layer: one column per column of ``w1``, the
+    bias added on wide rows."""
+    pre1 = x @ w1
+    rows, b1 = _wide_rows(pre1, b1)
+    rows += b1
     return vtc_eval(nominal, pre1, out=pre1)
 
 
@@ -163,11 +158,11 @@ def _forward(params: MlpParams, x: np.ndarray, family: VtcFamily,
 
     Each hidden neuron uses its assigned family member, and the sub-ADC
     outputs pass through a steep logistic comparator surrogate.  The
-    steps that combine a (batch, hidden) or (batch, outputs) array with
-    a per-neuron vector (the biases, v_m, s, the swing v_h - v_l and
-    v_l) run on ``_wide_rows``' view: the same operands meet in the same
-    order, so every value is bit for bit the formula's.  The cache holds
-    s and the swing tiled to the hidden arrays' wide rows.
+    steps that combine the (batch, hidden) array with a per-neuron
+    vector (b1, v_m, s, the swing v_h - v_l and v_l) run on
+    ``_wide_rows``' view: the same operands meet in the same order, so
+    every value is bit for bit the formula's.  The cache holds s and the
+    swing tiled to that view's rows.
     """
     _check_batch(params, x)
     if np.any(params.vtc_assignment >= len(family)):
@@ -180,9 +175,10 @@ def _forward(params: MlpParams, x: np.ndarray, family: VtcFamily,
     rows += b1
     _train_logistic(vm, rows, s)  # pre1 is now sig_h
     sig_h, h = pre1, np.empty_like(pre1)
-    h_rows = np.multiply(swing, rows, out=h.reshape(rows.shape, copy=False))
+    h_rows = np.multiply(swing, rows, out=h.reshape(rows.shape))
     h_rows += vl
-    pre2 = _affine(h, params.w2, params.b2)
+    pre2 = h @ params.w2
+    pre2 += params.b2
     if kind == "subadc":
         ws = surrogate_ratio * vdd
         sig_o = _train_logistic(vdd / 2.0, pre2, -ws)
@@ -211,7 +207,7 @@ def forward_stage(params: MlpParams, inputs: np.ndarray, family: VtcFamily,
     _check_batch(params, x)
     decide = _decision(kind, family.nominal, vdd)
     h = _hidden(family.nominal, x, params.w1, params.b1)
-    return decide(_affine(h, params.w2, params.b2))
+    return decide(h @ params.w2 + params.b2)
 
 
 def mse_loss(outputs: np.ndarray, targets: np.ndarray) -> float:
@@ -239,8 +235,8 @@ def backprop(params: MlpParams, x: np.ndarray, targets: np.ndarray,
     d2 = 2.0 * (out - targets) / len(x) * dout    # dC/dpre2
     gw2 = h.T @ d2
     gb2 = d2.sum(axis=0)
-    np.multiply(-swing / s, sig_h.reshape(-1, s.size, copy=False),
-                out=h.reshape(-1, s.size, copy=False))
+    np.multiply(-swing / s, sig_h.reshape(-1, s.size),
+                out=h.reshape(-1, s.size))
     dvtc = h  # d h / d pre1
     dvtc *= np.subtract(1.0, sig_h, out=sig_h)
     d1 = np.matmul(d2, params.w2.T, out=sig_h)  # dC/dh, then dC/dpre1
@@ -338,7 +334,7 @@ def refine_discrete(params: MlpParams, grid: DeviceGrid, bias_drive: float,
     nom = family.nominal
     out_of = _decision(kind, nom, vdd)
     h = _hidden(nom, x, p.w1, p.b1)
-    pre2 = _affine(h, p.w2, p.b2)
+    pre2 = h @ p.w2 + p.b2
     best = score(out_of(pre2))
     # point-last layouts: a line's outputs are (candidate, output, point)
     h, pre2 = h.T.copy(), pre2.T.copy()

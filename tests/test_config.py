@@ -98,7 +98,9 @@ class TestFromDict:
         ({"stimulus_bin": 3001}, "stimulus_bin"),
         ({"stimulus_bin": -1}, "stimulus_bin"),
         ({"stimulus_bin": 0}, "stimulus_bin"),
-        ({"stimulus_n": 64, "stimulus_bin": 32}, "stimulus_bin")])
+        ({"stimulus_n": 64, "stimulus_bin": 32}, "stimulus_bin"),
+        ({"vdd": -1, "encoding": {"kind": "logarithmic"}}, "vdd"),
+        ({"vdd": float("nan"), "encoding": {}}, "vdd")])
     def test_rejects_out_of_range_value(self, data, key):
         with pytest.raises(ConfigError, match=f"^{key}: "):
             ExperimentConfig.from_dict(data)

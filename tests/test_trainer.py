@@ -341,10 +341,14 @@ class TestForward:
     @given(st.data())
     def test_infer_is_the_refinement_forward(self, data):
         """Snapshot scoring, hops and hard bits see what refinement sees:
-        the nominal ``vtc_eval`` hidden layer, bit for bit."""
+        the nominal ``vtc_eval`` hidden layer, bit for bit, at every row
+        width of ``_wide_rows`` (the training batches 2048, 4095 and 4160
+        among them)."""
         kind = data.draw(st.sampled_from(("subadc", "residue")))
-        f_in, hidden, f_out, n = (data.draw(st.integers(1, hi))
-                                  for hi in (4, 7, 3, 32))
+        f_in, hidden, f_out = (data.draw(st.integers(1, hi))
+                               for hi in (4, 7, 3))
+        n = data.draw(st.integers(0, 256)
+                      | st.sampled_from((2048, 4095, 4160)))
 
         def array(shape, bound):
             return data.draw(hnp.arrays(np.float64, shape, elements=st.floats(
@@ -361,28 +365,6 @@ class TestForward:
             + params.b2
         want = (nom.v_high * (pre2 > VDD / 2.0).astype(float)
                 if kind == "subadc" else pre2)
-        got = forward_stage(params, x, FAMILY, "infer", kind, VDD)
-        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-
-    @settings(deadline=None, max_examples=100)
-    @given(kind=st.sampled_from(("subadc", "residue")),
-           f_in=st.integers(1, 4), hidden=st.integers(1, 9),
-           f_out=st.integers(1, 3), n=st.integers(0, 256),
-           seed=st.integers(0, 2**32 - 1))
-    @example(kind="residue", f_in=3, hidden=5, f_out=1, n=4095, seed=0)
-    @example(kind="residue", f_in=3, hidden=5, f_out=1, n=4160, seed=1)
-    @example(kind="subadc", f_in=1, hidden=3, f_out=2, n=2048, seed=2)
-    def test_infer_matches_the_formula_at_any_batch(self, kind, f_in, hidden,
-                                                    f_out, n, seed):
-        """The biases added on wide rows give the plain formula's bits for
-        every batch size, hence every row width."""
-        rng = np.random.default_rng(seed)
-        params = random_params(f_in, hidden, f_out, rng)
-        x = rng.uniform(0.0, VDD, size=(n, f_in))
-        nom = FAMILY.nominal
-        decide = trainer_module._decision(kind, nom, VDD)
-        want = decide(vtc_eval(nom, x @ params.w1 + params.b1) @ params.w2
-                      + params.b2)
         got = forward_stage(params, x, FAMILY, "infer", kind, VDD)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
