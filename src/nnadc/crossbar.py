@@ -10,7 +10,8 @@ training time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -77,19 +78,18 @@ class CrossbarLayer:
     bias_voltage: float = 0.0  # constant drive on the bias row; 0 -> no bias
 
     def __post_init__(self):
-        gu = np.asarray(self.g_u, dtype=float)
-        gl = np.asarray(self.g_l, dtype=float)
-        if gu.shape != gl.shape or gu.ndim != 2:
+        shape = np.shape(self.g_u)
+        if shape != np.shape(self.g_l) or len(shape) != 2:
             raise ShapeError("g_u and g_l must be equal-shape 2-D arrays")
-        # a NaN makes its array's min() and max() NaN, failing both tests
-        if gu.size and not (0 < gu.min() and 0 < gl.min()
-                            and gu.max() < np.inf and gl.max() < np.inf):
+        # one private read-only copy of both arrays, stacked: ``weights``
+        # is computed from them once
+        g = np.array((self.g_u, self.g_l), dtype=float)
+        # a NaN makes min() and max() NaN, failing both tests
+        if g.size and not (0 < g.min() and g.max() < np.inf):
             raise DeviceError("conductances must be positive and finite")
-        # private read-only copies: ``weights`` is computed from them once
-        for name, g in (("g_u", gu), ("g_l", gl)):
-            g = g.copy()
-            g.flags.writeable = False
-            object.__setattr__(self, name, g)
+        g.flags.writeable = False
+        object.__setattr__(self, "g_u", g[0])
+        object.__setattr__(self, "g_l", g[1])
 
     @property
     def rows(self) -> int:
@@ -116,6 +116,22 @@ def weights_from_conductances(layer: CrossbarLayer) -> np.ndarray:
     return (layer.g_u - layer.g_l) / sums
 
 
+def _wide_rows(a: np.ndarray, *vectors: np.ndarray) -> tuple:
+    """C-order (n, m) ``a`` viewed as (n / k, m · k) rows, k = gcd(n, 64),
+    and each (m,) vector tiled k times to match.
+
+    numpy runs a (n, m) ⊕ (m,) step one m-element row at a time; on the
+    view it runs n / k rows of m · k elements.  Every element still meets
+    its own vector entry, so an elementwise step on the view writes into
+    ``a`` the same bits.  An odd n gives k = 1, ``a``'s own rows.
+    """
+    n, m = a.shape
+    k = math.gcd(n, 64)
+    # np.tile(stacked, k), by the repeat it runs, without its Python steps
+    tiled = np.array(vectors).repeat(k, axis=0).reshape(len(vectors), m * k)
+    return (a.reshape(n // k, m * k), *tiled)
+
+
 def vmm(layer: CrossbarLayer, v_in: np.ndarray,
         out: np.ndarray | None = None) -> np.ndarray:
     """Analog vector-matrix multiply through the crossbar.
@@ -124,7 +140,8 @@ def vmm(layer: CrossbarLayer, v_in: np.ndarray,
     per sample; the bias row is driven at the layer's own bias voltage.
     ``out``, if given, receives the batch-by-cols result and is returned.
     A layer with one signal row is an outer product; its ``+ 0.0`` turns
-    a -0.0 product into +0.0, as matmul's ``0 + v*w`` does.
+    a -0.0 product into +0.0, as matmul's ``0 + v*w`` does.  A row-major
+    output of several columns takes the bias row on wide rows.
     """
     w = layer.weights
     v = np.asarray(v_in, dtype=float)
@@ -136,7 +153,12 @@ def vmm(layer: CrossbarLayer, v_in: np.ndarray,
         out += 0.0
     else:
         out = np.matmul(v, w[:-1], out=out)
-    out += layer.bias_voltage * w[-1]
+    bias = layer.bias_voltage * w[-1]
+    if out.flags.c_contiguous and out.shape[1] > 1:
+        rows, bias = _wide_rows(out, bias)
+        rows += bias
+    else:
+        out += bias
     return out
 
 
@@ -185,12 +207,24 @@ def instantiate_conductances(weights, grid: DeviceGrid,
 
 def perturb_resistances(layer: CrossbarLayer,
                         spec: PerturbationSpec) -> CrossbarLayer:
-    """Fresh lognormal perturbation of every device resistance."""
+    """Fresh lognormal perturbation of every device resistance.
+
+    A draw that drives a conductance to 0 or infinity (a sigma of
+    hundreds) raises ``DeviceError``.
+    """
     if spec.sigma == 0:
         return layer
     rng = np.random.default_rng(spec.seed)
     # theta_u then theta_l, from one draw: the same stream as two draws
-    theta = rng.normal(0.0, spec.sigma, size=(2, *layer.g_u.shape))
+    g = rng.normal(0.0, spec.sigma, size=(2, *layer.g_u.shape))
     # resistance scales by e^theta, hence conductance by e^-theta
-    return replace(layer, g_u=layer.g_u * np.exp(-theta[0]),
-                   g_l=layer.g_l * np.exp(-theta[1]))
+    np.negative(g, out=g)
+    with np.errstate(over="ignore"):  # refused below, with its sigma
+        np.exp(g, out=g)
+    g[0] *= layer.g_u
+    g[1] *= layer.g_l
+    try:
+        return CrossbarLayer(g[0], g[1], layer.grid, layer.bias_voltage)
+    except DeviceError:
+        raise DeviceError(f"sigma {spec.sigma} drives a conductance to 0 or "
+                          f"infinity") from None

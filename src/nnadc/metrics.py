@@ -110,6 +110,14 @@ def enob_of_codes(codes: np.ndarray, reso: int, f_s: float, f_in: float):
     return sndr_enob(code_midpoints(codes, reso), f_s, f_in)
 
 
+def median(values):
+    """Median of a non-empty iterable, as ``statistics.median`` computes
+    it: the middle sorted value, or the mean of the middle two."""
+    data = sorted(values)
+    mid = len(data) // 2
+    return data[mid] if len(data) % 2 else (data[mid - 1] + data[mid]) / 2
+
+
 def spectrum_csv_rows(res: SpectrumResult):
     """(frequency, power in dB) rows for export."""
     freqs = res.bin_freqs()

@@ -9,12 +9,14 @@ mode runs the same chain on each stage's oracles.
 Work buffers are column-major, so each voltage, neuron and comparator-bit
 column is contiguous over the samples, except the hidden buffer of a
 one-column output layer: numpy runs that product as a gemv, whose
-summation order follows its input's memory order.
+summation order follows its input's memory order.  ``crossbar.vmm`` adds
+the bias row of that row-major buffer on wide rows, ``vtc_eval`` takes
+one exp per hidden element, and each perturbed crossbar is one stacked
+copy of its two conductance arrays.
 """
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -239,5 +241,5 @@ def monte_carlo_eval(p: PipelineConfig, mc: McEvalSpec,
         _, enob = _metrics.enob_of_codes(codes, p.reso, stimulus.f_s,
                                          stimulus.f_in)
         enobs.append(enob)
-    return McSummary(median_enob=float(statistics.median(enobs)),
+    return McSummary(median_enob=float(_metrics.median(enobs)),
                      enobs=tuple(enobs))

@@ -10,13 +10,13 @@ Carlo noise.
 from __future__ import annotations
 
 import dataclasses
-import statistics
 
 import numpy as np
 
 from .config import ExperimentConfig, split_seed
 # perfbench/tracing.py patches these names, so they stay importable here
 from .crossbar import perturb_resistances  # noqa: F401
+from .metrics import median
 from .pipeline import McEvalSpec, perturbed_stage
 from .signal_core import smooth_decode_array  # noqa: F401
 from .trainer import TrainedStage, evaluate_stage
@@ -34,7 +34,7 @@ def median_perturbed_metrics(stage: TrainedStage, runs: int, sigma: float,
     """Median metrics over ``runs`` independent perturbations."""
     samples = [perturbed_stage_metrics(stage, sigma, seed + r)
                for r in range(runs)]
-    return {key: statistics.median(s[key] for s in samples)
+    return {key: median(s[key] for s in samples)
             for key in samples[0]}
 
 
@@ -77,7 +77,7 @@ def precision_sweep(cfg: ExperimentConfig, resolutions, precisions,
             # disqualify candidates so fragile that dead draws would
             # dominate a median; otherwise rank by the median itself
             dead = sum(1 for e in enobs if not np.isfinite(e))
-            score = (dead >= 5, -statistics.median(enobs))
+            score = (dead >= 5, -median(enobs))
             if stage is None or score < stage_score:
                 stage, stage_score = cand, score
         med = median_perturbed_metrics(

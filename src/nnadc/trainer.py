@@ -15,13 +15,13 @@ whole conversion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics as _metrics
-from .crossbar import DeviceGrid, instantiate_conductances, quantize_weight
+from .crossbar import (DeviceGrid, _wide_rows, instantiate_conductances,
+                       quantize_weight)
 from .errors import ConfigError, ShapeError, TrainingError
 from .pipeline import stage_levels
 # the stage-target oracles live in signal_core; perfbench calls them here
@@ -99,22 +99,6 @@ class MlpParams:
 def _check_batch(params: MlpParams, x: np.ndarray) -> None:
     if x.ndim != 2 or x.shape[1] != params.w1.shape[0]:
         raise ShapeError("input batch does not match the network fan-in")
-
-
-def _wide_rows(a: np.ndarray, *vectors: np.ndarray) -> tuple:
-    """C-order (n, m) ``a`` viewed as (n / k, m · k) rows, k = gcd(n, 64),
-    and each (m,) vector tiled k times to match.
-
-    numpy runs a (n, m) ⊕ (m,) step one m-element row at a time; on the
-    view it runs n / k rows of m · k elements.  Every element still meets
-    its own vector entry, so an elementwise step on the view writes into
-    ``a`` the same bits.  An odd n gives k = 1, ``a``'s own rows.
-    """
-    n, m = a.shape
-    k = math.gcd(n, 64)
-    # np.tile(stacked, k), by the repeat it runs, without its Python steps
-    tiled = np.array(vectors).repeat(k, axis=0).reshape(len(vectors), m * k)
-    return (a.reshape(n // k, m * k), *tiled)
 
 
 def _hidden(nominal: VtcParams, x: np.ndarray, w1: np.ndarray,

@@ -97,7 +97,10 @@ def _logistic(z, out=None):
     """Overflow-safe logistic, ``exp(min(z, 0)) / (1 + exp(-|z|))``.
 
     This is ``1/(1+exp(-z))`` for z >= 0 and ``exp(z)/(1+exp(z))``
-    otherwise, in one branch-free pass with one temporary.
+    otherwise, in one branch-free pass with one temporary and one exp.
+    The numerator is ``maximum(exp(-|z|), z >= 0)``, which is exact:
+    exp(min(z, 0)) is exactly 1 for z >= 0, where exp(-|z|) <= 1, and is
+    exp(-|z|) itself for z < 0, where the comparison gives 0.
     ``minimum(z, -z)`` is -|z| but keeps the sign of a NaN input, so NaNs
     come out as from ``exp(z)``.  ``out`` may be ``z`` itself.
     """
@@ -105,11 +108,11 @@ def _logistic(z, out=None):
     e = np.negative(z, out=np.empty_like(z))
     np.minimum(z, e, out=e)
     np.exp(e, out=e)
-    e += 1.0
     if out is None:
         out = np.empty_like(z)
-    np.minimum(z, 0.0, out=out)
-    np.exp(out, out=out)
+    np.greater_equal(z, 0.0, out=out)
+    np.maximum(e, out, out=out)
+    e += 1.0
     out /= e
     return out
 

@@ -164,6 +164,24 @@ class TestPipelineCommands:
         assert "error: Monte Carlo sigma" in res.output
         assert not (workdir["out"] / "mc_eval.csv").exists()
 
+    def test_overflowing_mc_sigma_exit_code(self, runner, workdir):
+        """A sigma that drives a conductance to 0 or infinity ends in one
+        error line naming it, with no numpy warning."""
+        stage = train_one(runner, workdir)
+        res = runner.invoke(main, [
+            "build-pipeline", "--config", str(workdir["cfg"]),
+            "--stages", str(stage)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, [
+            "mc-eval", "--config", str(workdir["cfg"]),
+            "--pipeline", str(workdir["out"] / "pipeline.json"),
+            "--sigma", "1000"])
+        assert res.exit_code == EXIT_INPUT, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.splitlines() == [
+            "error: sigma 1000.0 drives a conductance to 0 or infinity"]
+        assert not (workdir["out"] / "mc_eval.csv").exists()
+
     def test_other_nnadc_error_exit_code(self, runner, workdir):
         stage = train_one(runner, workdir)
         res = runner.invoke(main, [

@@ -1,5 +1,7 @@
 """Differential crossbar model: weights, quantization, instantiation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from nnadc.crossbar import (
     CrossbarLayer,
     DeviceGrid,
     PerturbationSpec,
+    _wide_rows,
     instantiate_conductances,
     perturb_resistances,
     quantize_weight,
@@ -84,6 +87,17 @@ class TestWeightsFromConductances:
         with pytest.raises(DeviceError):
             CrossbarLayer(grid=SPEC_GRID, **g)
 
+    @pytest.mark.parametrize("g_u, g_l", [
+        (np.full((3, 2), 1e-6), np.full((2, 3), 1e-6)),
+        (np.full((3, 2), 1e-6), np.full((3, 1), 1e-6)),
+        (np.full((3, 2), 1e-6), np.full(2, 1e-6)),
+        (np.full(3, 1e-6), np.full(3, 1e-6)),
+        ([[1e-6, 1e-6]], [[1e-6]])])
+    def test_rejects_unequal_or_not_2d(self, g_u, g_l):
+        """Shapes are checked before both arrays are stacked into one."""
+        with pytest.raises(ShapeError):
+            CrossbarLayer(g_u=g_u, g_l=g_l, grid=SPEC_GRID)
+
 
 class TestVmm:
     def test_dot_product(self):
@@ -137,6 +151,18 @@ class TestVmm:
                               g_l=np.full((3, 1), 2e-6), grid=SPEC_GRID)
         with pytest.raises(ShapeError):
             vmm(layer, np.array([[1.0, 0.5, 0.2]]))
+
+    @pytest.mark.parametrize("n, shape", [
+        (4095, (4095, 5)), (96, (3, 160)), (4160, (65, 320))])
+    def test_wide_rows(self, n, shape):
+        """``_wide_rows`` views its array k = gcd(n, 64) rows at a time and
+        tiles each vector k times to match."""
+        a = np.arange(n * 5, dtype=float).reshape(n, 5)
+        rows, b, c = _wide_rows(a, np.arange(5.0), -np.ones(5))
+        assert rows.shape == shape and np.shares_memory(rows, a)
+        k = shape[1] // 5
+        np.testing.assert_array_equal(b, np.tile(np.arange(5.0), k))
+        np.testing.assert_array_equal(c, -np.ones(5 * k))
 
 
 class TestQuantizeWeight:
@@ -264,6 +290,16 @@ class TestPerturbResistances:
         theta_l = rng.normal(0.0, 0.1, size=g.shape)
         assert np.array_equal(pert.g_u, g * np.exp(-theta_u))
         assert np.array_equal(pert.g_l, g * np.exp(-theta_l))
+
+    def test_overflowing_sigma(self):
+        """A draw that drives a conductance to 0 or infinity is refused,
+        naming its sigma, without numpy's overflow warning."""
+        g = np.full((3, 3), 5e-6)
+        layer = CrossbarLayer(g_u=g, g_l=g, grid=SPEC_GRID)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DeviceError, match="^sigma 1000.0 drives"):
+                perturb_resistances(layer, PerturbationSpec(1000.0, 1))
 
     def test_known_resistance_scaling(self):
         # R = 10 kOhm with theta = 0.05 becomes 10.513 kOhm

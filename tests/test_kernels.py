@@ -1,10 +1,12 @@
 """Bit-exactness of the fast numeric kernels against their reference formulas.
 
-``vtc._logistic`` and ``signal_core.smooth_decode_array`` run in every
-refinement candidate and every conversion, ``trainer.refine_discrete``
-computes a lattice line of candidates with one stacked matmul (one gemv
-on a bias line), and ``pipeline.convert`` runs its crossbar products on
-column-major batches.
+``vtc._logistic`` (one exp per element) and
+``signal_core.smooth_decode_array`` run in every refinement candidate and
+every conversion, ``trainer.refine_discrete`` computes a lattice line of
+candidates with one stacked matmul (one gemv on a bias line), and
+``pipeline.convert`` runs its crossbar products on column-major batches.
+``crossbar.vmm`` adds the bias row of a row-major output on wide rows;
+``test_stage_forward`` checks it against the allocating product.
 Their fast forms must give exactly the results of the straightforward
 formulas kept below, so that trained weights, refinement counters and
 pipeline codes never move.

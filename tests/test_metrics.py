@@ -1,11 +1,16 @@
-"""Spectral metrics: Parseval, SNDR/ENOB, sensitivity oracle."""
+"""Spectral metrics: Parseval, SNDR/ENOB, sensitivity oracle; the median."""
+
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from nnadc.errors import CoherenceError, ShapeError
 from nnadc.metrics import (
     enob_of_codes,
+    median,
     mse_to_enob_sensitivity,
     sndr_enob,
     spectrum,
@@ -105,3 +110,16 @@ class TestMseSensitivity:
     def test_rejects_negative(self):
         with pytest.raises(ShapeError):
             mse_to_enob_sensitivity(8, -1.0)
+
+
+class TestMedian:
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=9))
+    @example([np.inf, -np.inf])
+    @example([-np.inf, 0.5, np.inf, 2.0])
+    @example([1e308, 1e308])
+    def test_is_statistics_median(self, values):
+        """The median of 1 to 9 floats, infinities included, is
+        ``statistics.median``'s, bit for bit."""
+        got, want = np.float64(median(values)), np.float64(
+            statistics.median(values))
+        assert got.view(np.int64) == want.view(np.int64)

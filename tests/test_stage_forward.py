@@ -281,12 +281,15 @@ class TestInPlaceKernels:
     @settings(deadline=None, max_examples=200)
     @given(st.data())
     def test_vmm_out_matches_allocating(self, data):
+        """Small batches, and batches at each row width of the wide-row
+        bias add of a row-major output: k = gcd(n, 64) = 1, 32 and 64."""
         rows = data.draw(st.integers(2, 7))
         cols = data.draw(st.integers(1, 6))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         layer = random_layer(rng, rows, cols,
                              data.draw(st.sampled_from([0.0, 1.7, 2.5])))
-        shape = (data.draw(st.integers(0, 40)), rows - 1)
+        n = data.draw(st.integers(0, 40) | st.sampled_from((4095, 96, 4160)))
+        shape = (n, rows - 1)
         v = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(
             st.floats(-2.0, 2.0), st.sampled_from(SPECIAL))))
         want = ref_vmm(layer, v)

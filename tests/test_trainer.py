@@ -368,18 +368,6 @@ class TestForward:
         got = forward_stage(params, x, FAMILY, "infer", kind, VDD)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
-    @pytest.mark.parametrize("n, shape", [
-        (4095, (4095, 5)), (96, (3, 160)), (4160, (65, 320))])
-    def test_wide_rows(self, n, shape):
-        """``_wide_rows`` views its array k = gcd(n, 64) rows at a time and
-        tiles each vector k times to match."""
-        a = np.arange(n * 5, dtype=float).reshape(n, 5)
-        rows, b, c = trainer_module._wide_rows(a, np.arange(5.0), -np.ones(5))
-        assert rows.shape == shape and np.shares_memory(rows, a)
-        k = shape[1] // 5
-        np.testing.assert_array_equal(b, np.tile(np.arange(5.0), k))
-        np.testing.assert_array_equal(c, -np.ones(5 * k))
-
     def test_mse_loss_shape(self):
         with pytest.raises(ShapeError):
             mse_loss(np.zeros((2, 1)), np.zeros((2, 2)))
