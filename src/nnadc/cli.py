@@ -255,8 +255,7 @@ def cmd_export(config_path, pipeline_path, mode, force):
     stim = _stimulus(cfg, p.enc)
     codes = _pipe.convert(p, stim.samples, mode)
     rec = _metrics.code_midpoints(codes, p.reso)
-    res = _metrics.spectrum(rec, stim.f_s,
-                            signal_bin=round(stim.f_in * cfg.stimulus_n))
+    res = _metrics.spectrum(rec, stim.f_s)
     path = cfg.out_dir() / "spectrum.csv"
     modelio.write_csv(path, ["freq", "power_db"],
                       _metrics.spectrum_csv_rows(res))

@@ -31,8 +31,8 @@ class DeviceGrid:
     precision_bits: int = 3
 
     def __post_init__(self):
-        if self.g_off <= 0 or self.g_on <= self.g_off:
-            raise DeviceError("need 0 < g_off < g_on")
+        if not 0 < self.g_off < self.g_on < np.inf:  # NaN fails too
+            raise DeviceError("need 0 < g_off < g_on < inf")
         if not 1 <= self.precision_bits <= 7:
             raise DeviceError("precision_bits must be 1..7")
 

@@ -9,7 +9,8 @@ and die area second.  The space is small enough (tribonacci growth,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 
 from .errors import ConfigError
 
@@ -24,8 +25,8 @@ class StageCost:
     area: float        # mm^2
 
     def __post_init__(self):
-        if min(self.power, self.rate, self.area) <= 0:
-            raise ConfigError("cost entries must be positive")
+        if not all(0 < x < math.inf for x in astuple(self)):
+            raise ConfigError("cost entries must be positive and finite")
 
 
 @dataclass(frozen=True)

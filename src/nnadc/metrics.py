@@ -26,7 +26,6 @@ class SpectrumResult:
     """One-sided power spectrum; bin powers sum to the mean-square power."""
 
     power: np.ndarray = field(repr=False)
-    signal_bin: int
     f_s: float
     n: int
 
@@ -34,7 +33,7 @@ class SpectrumResult:
         return np.arange(self.power.size) * self.f_s / self.n
 
 
-def spectrum(samples: np.ndarray, f_s: float, signal_bin: int = 0) -> SpectrumResult:
+def spectrum(samples: np.ndarray, f_s: float) -> SpectrumResult:
     """Normalized one-sided power spectrum of a power-of-two record."""
     x = np.asarray(samples, dtype=float)
     n = x.size
@@ -43,7 +42,7 @@ def spectrum(samples: np.ndarray, f_s: float, signal_bin: int = 0) -> SpectrumRe
     spec = np.fft.rfft(x) / n
     p = np.abs(spec) ** 2
     p[1:-1] *= 2.0  # fold negative frequencies; DC and Nyquist are unique
-    return SpectrumResult(power=p, signal_bin=signal_bin, f_s=f_s, n=n)
+    return SpectrumResult(power=p, f_s=f_s, n=n)
 
 
 def sndr_enob(samples: np.ndarray, f_s: float, f_in: float):
@@ -59,7 +58,7 @@ def sndr_enob(samples: np.ndarray, f_s: float, f_in: float):
         raise CoherenceError(f"J = {j} is outside bins 1..{n // 2 - 1}")
     if math.gcd(j, n) != 1:
         raise CoherenceError(f"J = {j} shares a factor with n = {n}")
-    res = spectrum(x, f_s, signal_bin=j)
+    res = spectrum(x, f_s)
     p_sig = res.power[j]
     p_noise = res.power[1:].sum() - p_sig
     # A dead record (no tone power) or a noiseless one would divide by

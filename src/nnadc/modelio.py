@@ -20,7 +20,7 @@ import numpy as np
 
 from .crossbar import DeviceGrid
 from .dse import CostTable
-from .errors import ConfigError, DeviceError, ModelRefError, PrecisionError
+from .errors import ConfigError, ModelRefError, NnadcError
 from .pipeline import PipelineConfig
 from .signal_core import EncodingScheme, StageSpec
 from .trainer import MlpParams, TrainedStage, instantiate_net
@@ -91,32 +91,35 @@ def save_stage(stage: TrainedStage, path, run_hash: str = "") -> None:
 def load_stage(path, check_hash: str | None = None) -> TrainedStage:
     """Stage model file, refused unless built from config ``check_hash``.
 
-    Both networks' crossbars are rebuilt from their stored weights; a
-    weight they refuse names the file and the network.
+    Both networks' crossbars are rebuilt from their stored weights.  Any
+    value refused names the file, and a weight also names its network.
     """
     def build(data):
         if check_hash not in (None, data.get("config_hash", "")):
             raise ModelRefError(f"stage model {path} was built from a "
                                 "different configuration")
-        grid = DeviceGrid(**data["grid"])
-        bias_drive = data["bias_drive"]
-        nets = {net: _params_from_dict(data[net])
-                for net in ("subadc", "residue") if data[net] is not None}
-        layers = {}
-        for net, params in nets.items():
-            try:
-                layers[net] = instantiate_net(params, grid, bias_drive)
-            except (PrecisionError, DeviceError) as exc:
-                raise type(exc)(f"{path}: {net} network: {exc}") from exc
-        return TrainedStage(
-            spec=StageSpec(**data["spec"]),
-            enc=EncodingScheme(**data["encoding"]),
-            nominal=VtcParams(**data["nominal"]),
-            grid=grid, bias_drive=bias_drive, subadc=nets["subadc"],
-            subadc_layers=layers["subadc"], residue=nets.get("residue"),
-            residue_layers=layers.get("residue"),
-            train_metrics=data.get("metrics", {}),
-        )
+        try:
+            grid = DeviceGrid(**data["grid"])
+            bias_drive = data["bias_drive"]
+            nets = {net: _params_from_dict(data[net])
+                    for net in ("subadc", "residue") if data[net] is not None}
+            layers = {}
+            for net, params in nets.items():
+                try:
+                    layers[net] = instantiate_net(params, grid, bias_drive)
+                except NnadcError as exc:
+                    raise type(exc)(f"{net} network: {exc}") from exc
+            return TrainedStage(
+                spec=StageSpec(**data["spec"]),
+                enc=EncodingScheme(**data["encoding"]),
+                nominal=VtcParams(**data["nominal"]),
+                grid=grid, bias_drive=bias_drive, subadc=nets["subadc"],
+                subadc_layers=layers["subadc"], residue=nets.get("residue"),
+                residue_layers=layers.get("residue"),
+                train_metrics=data.get("metrics", {}),
+            )
+        except NnadcError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
     return _read_model(path, "stage", build)
 
 
@@ -154,7 +157,8 @@ def load_cost_table(path) -> CostTable:
         if "cost_table" in data:
             data = data["cost_table"]
         return CostTable.from_dict(data)
-    except (OSError, AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (NnadcError, OSError, AttributeError, KeyError, TypeError,
+            ValueError) as exc:
         raise ConfigError(f"cost table {path}: {type(exc).__name__}: "
                           f"{exc}") from exc
 

@@ -195,9 +195,6 @@ def perturbed_stage(stage, sigma: float, rng: np.random.Generator):
 
     Each layer draws its own sub-seed from ``rng``, sub-ADC layers first.
     """
-    if sigma == 0:
-        return stage
-
     def _perturb(layers):
         if layers is None:
             return None

@@ -55,8 +55,8 @@ class StageSpec:
         if self.resolution_bits not in (1, 2, 3):
             raise ConfigError(f"stage resolution must be 1..3, got "
                               f"{self.resolution_bits}")
-        if self.vdd <= 0:
-            raise ConfigError("vdd must be positive")
+        if not 0 < self.vdd < np.inf:  # NaN fails too
+            raise ConfigError("vdd must be positive and finite")
         n = self.resolution_bits
         if self.smooth_width == 0:
             object.__setattr__(self, "smooth_width", _DEFAULT_SMOOTH_WIDTH[n])
@@ -104,8 +104,8 @@ class EncodingScheme:
     def __post_init__(self):
         if self.kind not in ("linear", "logarithmic"):
             raise ConfigError(f"unknown encoding kind {self.kind!r}")
-        if not self.v_min < self.v_max:
-            raise ConfigError("v_min must be below v_max")
+        if not -np.inf < self.v_min < self.v_max < np.inf:
+            raise ConfigError("need a finite range, v_min < v_max")
 
     def normalize(self, v):
         """Map voltage onto the unit interval before quantization."""

@@ -66,8 +66,8 @@ class TrainConfig:
         if min(self.batch_size, self.total_iters, self.projection_period) < 1:
             raise ConfigError("batch size, iterations and projection period "
                               "must be positive")
-        if self.lr_start <= 0 or self.lr_end <= 0:
-            raise ConfigError("learning rates must be positive")
+        if not all(0 < lr < np.inf for lr in (self.lr_start, self.lr_end)):
+            raise ConfigError("learning rates must be positive and finite")
         if self.refine_passes < 0 or self.refine_hops < 0:
             raise ConfigError("refinement counts must be non-negative")
 
@@ -140,33 +140,33 @@ def _forward(params: MlpParams, x: np.ndarray, family: VtcFamily,
              surrogate_ratio: float = COMPARATOR_WIDTH_RATIO):
     """Train-mode forward pass with intermediate cache for backprop.
 
-    Each hidden neuron uses its assigned family member, and the sub-ADC
-    outputs pass through a steep logistic comparator surrogate.  The
-    steps that combine the (batch, hidden) array with a per-neuron
-    vector (b1, v_m, s, the swing v_h - v_l and v_l) run on
+    Each hidden neuron uses its assigned family member's v_m and s and
+    the family's shared rails; the sub-ADC outputs pass through a steep
+    logistic comparator surrogate.  The steps that combine the (batch,
+    hidden) array with a per-neuron vector (b1, v_m, s) run on
     ``_wide_rows``' view: the same operands meet in the same order, so
-    every value is bit for bit the formula's.  The cache holds s and the
-    swing tiled to that view's rows.
+    every value is bit for bit the formula's.  The rail swing v_h - v_l
+    and v_l are scalars.  The cache holds s tiled to that view's rows,
+    and the swing.
     """
     _check_batch(params, x)
     if np.any(params.vtc_assignment >= len(family)):
         raise ConfigError("VTC assignment index outside the family")
     a = params.vtc_assignment
-    vm, s, vh, vl = (arr[a] for arr in family.as_arrays())
+    nom = family.nominal
     pre1 = x @ params.w1
-    rows, b1, vm, s, swing, vl = _wide_rows(pre1, params.b1, vm, s,
-                                            vh - vl, vl)
+    rows, b1, vm, s = _wide_rows(pre1, params.b1, family.v_m[a], family.s[a])
     rows += b1
     _train_logistic(vm, rows, s)  # pre1 is now sig_h
-    sig_h, h = pre1, np.empty_like(pre1)
-    h_rows = np.multiply(swing, rows, out=h.reshape(rows.shape))
-    h_rows += vl
+    sig_h, swing = pre1, nom.v_high - nom.v_low
+    h = np.multiply(swing, sig_h)
+    h += nom.v_low
     pre2 = h @ params.w2
     pre2 += params.b2
     if kind == "subadc":
         ws = surrogate_ratio * vdd
         sig_o = _train_logistic(vdd / 2.0, pre2, -ws)
-        out = family.nominal.v_high * sig_o
+        out = nom.v_high * sig_o
         # rail * sig_o * (1 - sig_o) / ws, rail * sig_o being out
         dout = np.multiply(out, np.subtract(1.0, sig_o, out=sig_o), out=sig_o)
         dout /= ws
@@ -286,7 +286,7 @@ def project(params: MlpParams, grid: DeviceGrid, bias_drive: float) -> MlpParams
 
 def refine_discrete(params: MlpParams, grid: DeviceGrid, bias_drive: float,
                     family: VtcFamily, kind: str, vdd: float,
-                    x: np.ndarray, score, passes: int = 4) -> MlpParams:
+                    x: np.ndarray, score, passes: int) -> MlpParams:
     """Greedy discrete search around a projected network.
 
     Gradient descent followed by rounding loses a lot at 3-bit weight

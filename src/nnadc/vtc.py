@@ -15,7 +15,6 @@ fraction of its drive voltages, so the midpoint must stay reachable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -42,10 +41,12 @@ class VtcParams:
     v_low: float = 0.0
 
     def __post_init__(self):
-        if self.s <= 0:
-            raise ConfigError("transition scale must be positive")
-        if not self.v_low < self.v_high:
-            raise ConfigError("need v_low < v_high")
+        if not -np.inf < self.v_m < np.inf:  # NaN fails too
+            raise ConfigError("v_m must be finite")
+        if not 0 < self.s < np.inf:
+            raise ConfigError("transition scale must be positive and finite")
+        if not -np.inf < self.v_low < self.v_high < np.inf:
+            raise ConfigError("need finite rails, v_low < v_high")
 
 
 @dataclass(frozen=True)
@@ -60,31 +61,30 @@ class VariationSpec:
             raise ConfigError("VTC spreads must be non-negative and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VtcFamily:
-    """Monte Carlo population of inverter curves."""
+    """Monte Carlo population of inverter curves: read-only arrays of
+    each curve's ``v_m`` and ``s``, and the ``nominal`` rails they share."""
 
-    members: tuple
+    v_m: np.ndarray
+    s: np.ndarray
     nominal: VtcParams
 
     def __post_init__(self):
-        if len(self.members) < 1:
-            raise ConfigError("family must have at least one member")
+        v_m, s = (np.array(a, dtype=float) for a in (self.v_m, self.s))
+        if v_m.ndim != 1 or v_m.shape != s.shape or not v_m.size:
+            raise ConfigError("family size must be at least 1, with 1-D "
+                              "v_m and s of one length")
+        # a NaN fails every comparison
+        if not ((np.abs(v_m) < np.inf) & (0 < s) & (s < np.inf)).all():
+            raise ConfigError("a family needs finite v_m, positive and "
+                              "finite s")
+        for name, a in (("v_m", v_m), ("s", s)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
-        return len(self.members)
-
-    def as_arrays(self):
-        """(v_m, s, v_high, v_low) arrays over the members, read-only."""
-        return self._arrays
-
-    @cached_property
-    def _arrays(self):
-        arrays = tuple(np.array([getattr(p, name) for p in self.members])
-                       for name in ("v_m", "s", "v_high", "v_low"))
-        for a in arrays:
-            a.flags.writeable = False
-        return arrays
+        return self.v_m.size
 
 
 def nominal_vtc(vdd: float) -> VtcParams:
@@ -137,25 +137,23 @@ def vtc_eval(p: VtcParams, v, out=None):
 def sample_family(n: int, variation: VariationSpec, seed: int,
                   nominal: VtcParams) -> VtcFamily:
     """Gaussian parameter spread around the nominal curve, seed-determined."""
-    if n < 1:
-        raise ConfigError("family size must be at least 1")
     rng = np.random.default_rng(seed)
-    members = []
+    v_m, s = [], []
     for _ in range(n):
-        vm = rng.normal(nominal.v_m, variation.v_m_std) if variation.v_m_std else nominal.v_m
-        s = nominal.s
+        v_m.append(rng.normal(nominal.v_m, variation.v_m_std)
+                   if variation.v_m_std else nominal.v_m)
+        si = nominal.s
         if variation.s_rel_std:
-            s = rng.normal(nominal.s, variation.s_rel_std * nominal.s)
-            while s <= 0:  # truncate to positive scales
-                s = rng.normal(nominal.s, variation.s_rel_std * nominal.s)
-        members.append(VtcParams(v_m=vm, s=s, v_high=nominal.v_high,
-                                 v_low=nominal.v_low))
-    return VtcFamily(members=tuple(members), nominal=nominal)
+            si = rng.normal(nominal.s, variation.s_rel_std * nominal.s)
+            while si <= 0:  # truncate to positive scales
+                si = rng.normal(nominal.s, variation.s_rel_std * nominal.s)
+        s.append(si)
+    return VtcFamily(v_m=v_m, s=s, nominal=nominal)
 
 
 def default_family(vdd: float, n: int = FAMILY_SIZE,
                    seed: int = 0) -> VtcFamily:
-    """The standard family: 100 members, 2% of vdd on v_m, 10% on s."""
+    """The standard family: 100 curves, 2% of vdd on v_m, 10% on s."""
     nom = nominal_vtc(vdd)
     var = VariationSpec(v_m_std=V_M_STD_RATIO * vdd, s_rel_std=S_REL_STD)
     return sample_family(n, var, seed, nom)

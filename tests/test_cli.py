@@ -105,7 +105,13 @@ class TestTrainStage:
         ({"mc_run": 5}, "unknown config key(s): mc_run"),
         ({"grid": {"g_off": 2e-5}}, "grid: DeviceError"),
         ({"cost_table": {"1": {"power": 1}}}, "cost_table: KeyError"),
-        ({"train": {"beta1": 0.5}}, "train: TypeError")])
+        ({"train": {"beta1": 0.5}}, "train: TypeError"),
+        ({"grid": {"g_on": float("inf")}},
+         "grid: DeviceError: need 0 < g_off < g_on < inf"),
+        ({"grid": {"g_off": float("nan")}}, "grid: DeviceError"),
+        ({"train": {"lr_start": float("nan")}},
+         "train: ConfigError: learning rates must be positive and finite"),
+        ({"train": {"lr_end": float("inf")}}, "train: ConfigError")])
     def test_bad_key_or_block_exit_code(self, runner, workdir, extra,
                                         message):
         cfg = {**json.loads(workdir["cfg"].read_text()), **extra}
@@ -228,6 +234,28 @@ class TestPipelineCommands:
         assert (f"error: {stage}: residue network: weight at (5, 0) = {bad} "
                 "is not on the 3-bit grid") in res.output
 
+    @pytest.mark.parametrize("block, key, value, code, message", [
+        ("nominal", "s", "nan", EXIT_CONFIG, "transition scale"),
+        ("nominal", "v_high", "inf", EXIT_CONFIG, "need finite rails"),
+        ("spec", "vdd", "inf", EXIT_CONFIG, "vdd must be positive"),
+        ("encoding", "v_max", "nan", EXIT_CONFIG, "need a finite range"),
+        ("grid", "g_on", "inf", EXIT_INPUT, "need 0 < g_off < g_on < inf")])
+    def test_non_finite_stage_field_exit_code(self, runner, workdir, block,
+                                              key, value, code, message):
+        """A stage file's non-finite curve, vdd, range or grid is refused
+        when it is loaded, in a message that names the file."""
+        stage = train_one(runner, workdir)
+        data = json.loads(stage.read_text())
+        data[block][key] = float(value)
+        stage.write_text(json.dumps(data))
+        res = runner.invoke(main, [
+            "build-pipeline", "--config", str(workdir["cfg"]),
+            "--stages", str(stage)])
+        assert res.exit_code == code, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert f"error: {stage}: {message}" in res.output
+        assert not (workdir["out"] / "pipeline.json").exists()
+
     def test_terminal_stage_before_last_exit_code(self, runner, workdir):
         stage = train_one(runner, workdir, ["--terminal"])
         res = runner.invoke(main, [
@@ -322,8 +350,10 @@ class TestDse:
     @pytest.mark.parametrize("table, message", [
         (None, "FileNotFoundError"),
         ("{broken", "JSONDecodeError"),
-        (json.dumps({"1": {"power": 2e-3, "area": 1e-3}}), "KeyError")],
-        ids=["missing", "bad-json", "no-rate"])
+        (json.dumps({"1": {"power": 2e-3, "area": 1e-3}}), "KeyError"),
+        (json.dumps({"1": {"power": float("nan"), "rate": 1e9, "area": 1}}),
+         "ConfigError: cost entries must be positive and finite")],
+        ids=["missing", "bad-json", "no-rate", "nan-power"])
     def test_bad_table_file_exit_code(self, runner, workdir, table, message):
         path = workdir["tmp"] / "table.json"
         if table is not None:
@@ -333,6 +363,20 @@ class TestDse:
         assert res.exit_code == EXIT_CONFIG, res.output
         assert isinstance(res.exception, SystemExit)
         assert f"error: cost table {path}: {message}" in res.output
+
+    @pytest.mark.parametrize("field, value", [
+        ("power", "nan"), ("rate", "inf"), ("area", "nan")])
+    def test_non_finite_cost_exit_code(self, runner, workdir, field, value):
+        cfg = json.loads(workdir["cfg"].read_text())
+        cfg["cost_table"]["2"][field] = float(value)
+        workdir["cfg"].write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["dse", "--config", str(workdir["cfg"]),
+                                   "--reso", "4"])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert ("error: cost_table: ConfigError: cost entries must be "
+                "positive and finite") in res.output
+        assert not (workdir["out"] / "dse_ranked.csv").exists()
 
 
 class TestSweep:

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from nnadc.config import ExperimentConfig, split_seed
-from nnadc.errors import ConfigError
-from nnadc.pipeline import IdealStage, PipelineConfig, convert
+from nnadc.crossbar import DeviceGrid, PerturbationSpec
+from nnadc.dse import StageCost
+from nnadc.errors import ConfigError, DeviceError, NnadcError
+from nnadc.pipeline import IdealStage, McEvalSpec, PipelineConfig, convert
 from nnadc.signal_core import (EncodingScheme, StageSpec, ideal_adc,
                                sine_stimulus)
+from nnadc.trainer import TrainConfig
+from nnadc.vtc import VariationSpec, VtcFamily, VtcParams
 
 
 class TestSeedSplitting:
@@ -131,10 +135,13 @@ class TestDerived:
     def test_family_reproducible(self):
         cfg = ExperimentConfig.from_dict({"seed": 9, "family_size": 20})
         a, b = cfg.family(), cfg.family()
-        assert a.members == b.members
+        np.testing.assert_array_equal(a.v_m, b.v_m)
+        np.testing.assert_array_equal(a.s, b.s)
         assert len(a) == 20
         cfg2 = ExperimentConfig.from_dict({"seed": 10, "family_size": 20})
-        assert cfg2.family().members != a.members
+        c = cfg2.family()
+        assert not np.array_equal(c.v_m, a.v_m)
+        assert not np.array_equal(c.s, a.s)
 
     def test_encoding_spans_vdd(self):
         """An ideal 8-stage conversion at vdd 2 uses the whole code range
@@ -175,3 +182,37 @@ class TestDerived:
         cfg = ExperimentConfig.from_file(path)
         assert cfg.vdd == 0.9
         assert cfg.raw == {"vdd": 0.9, "seed": 3}
+
+
+VTC = {"v_m": 0.5, "s": 1.0 / 30.0, "v_high": 2.5}
+FAMILY = {"v_m": [0.5], "s": [0.03], "nominal": VtcParams(**VTC)}
+COST = {"power": 1e-3, "rate": 1e9, "area": 1e-3}
+# (constructor, valid keyword arguments, numeric fields, typed error) of
+# every spec a config, a stage file or a caller sets
+SPECS = [
+    (DeviceGrid, {}, ("g_off", "g_on"), DeviceError),
+    (StageSpec, {"resolution_bits": 1}, ("vdd",), ConfigError),
+    (VtcParams, VTC, ("v_m", "s", "v_high", "v_low"), ConfigError),
+    (VtcFamily, FAMILY, ("v_m", "s"), ConfigError),
+    (EncodingScheme, {}, ("v_min", "v_max"), ConfigError),
+    (TrainConfig, {}, ("lr_start", "lr_end"), ConfigError),
+    (StageCost, COST, ("power", "rate", "area"), ConfigError),
+    (VariationSpec, {}, ("v_m_std", "s_rel_std"), ConfigError),
+    (McEvalSpec, {}, ("sigma",), ConfigError),
+    (PerturbationSpec, {}, ("sigma",), DeviceError),
+]
+NUMERIC_FIELDS = [(build, valid, name, error)
+                  for build, valid, names, error in SPECS for name in names]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "build, valid, name, error", NUMERIC_FIELDS,
+    ids=[f"{b.__name__}.{name}" for b, _, name, _ in NUMERIC_FIELDS])
+def test_non_finite_field_refused(build, valid, name, error, bad):
+    build(**valid)  # the valid arguments are accepted
+    value = [bad] if build is VtcFamily else bad
+    with pytest.raises(NnadcError) as exc:
+        build(**{**valid, name: value})
+    assert exc.type is error

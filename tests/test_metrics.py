@@ -43,7 +43,7 @@ class TestSpectrum:
     def test_single_tone_power(self):
         n, j, a = 1024, 17, 0.4
         x = a * np.sin(2.0 * np.pi * j * np.arange(n) / n)
-        res = spectrum(x, 1.0, signal_bin=j)
+        res = spectrum(x, 1.0)
         assert res.power[j] == pytest.approx(a ** 2 / 2.0, abs=1e-12)
         assert res.power.sum() == pytest.approx(a ** 2 / 2.0, abs=1e-12)
 
@@ -57,7 +57,7 @@ class TestSpectrum:
 
     def test_csv_rows(self):
         x = np.sin(2.0 * np.pi * 3 * np.arange(64) / 64)
-        rows = spectrum_csv_rows(spectrum(x, 1.0, signal_bin=3))
+        rows = spectrum_csv_rows(spectrum(x, 1.0))
         assert len(rows) == 33
         assert rows[3][1] == pytest.approx(10 * np.log10(0.5), abs=1e-9)
 

@@ -128,9 +128,11 @@ class TestGradients:
 
 
 def formula_forward(params, x, family, kind, vdd, surrogate_ratio):
-    """The train forward as plain formulas, one fresh array per step."""
+    """The train forward as plain formulas, one fresh array per step: each
+    neuron's member v_m and s, and the nominal rails."""
     a = params.vtc_assignment
-    vm, s, vh, vl = (arr[a] for arr in family.as_arrays())
+    vm, s = family.v_m[a], family.s[a]
+    vh, vl = family.nominal.v_high, family.nominal.v_low
     rail = family.nominal.v_high
     pre1 = x @ params.w1 + params.b1
     sig_h = 1.0 / (1.0 + np.exp(-(vm - pre1) / s))
@@ -165,11 +167,11 @@ def formula_backprop(params, x, targets, family, kind, vdd, surrogate_ratio):
     return loss, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
 
 
-# FAMILY with a raised low rail, so that the hidden layer's ``+ v_low``
-# adds something
+# FAMILY with a raised nominal low rail, so that the hidden layer's
+# ``+ v_low`` adds something
 FAMILY_LOW_RAIL = VtcFamily(
-    members=tuple(dataclasses.replace(p, v_low=0.1) for p in FAMILY.members),
-    nominal=FAMILY.nominal)
+    v_m=FAMILY.v_m, s=FAMILY.s,
+    nominal=dataclasses.replace(FAMILY.nominal, v_low=0.1))
 
 
 class TestBackpropInPlace:

@@ -1,11 +1,14 @@
 """Inverter transfer-curve model and Monte Carlo families."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nnadc.errors import ConfigError
 from nnadc.vtc import (
     VariationSpec,
+    VtcFamily,
     VtcParams,
     default_family,
     nominal_vtc,
@@ -61,29 +64,29 @@ class TestFamilies:
         nom = nominal_vtc(1.0)
         fam = sample_family(100, VariationSpec(v_m_std=0.03, s_rel_std=0.0),
                             seed=3, nominal=nom)
-        vm = np.array([p.v_m for p in fam.members])
-        assert 0.03 * 0.8 < vm.std() < 0.03 * 1.2
+        assert 0.03 * 0.8 < fam.v_m.std() < 0.03 * 1.2
 
     def test_deterministic_per_seed(self):
         nom = nominal_vtc(1.0)
         var = VariationSpec(v_m_std=0.02, s_rel_std=0.1)
         a = sample_family(10, var, seed=5, nominal=nom)
         b = sample_family(10, var, seed=5, nominal=nom)
-        assert a.members == b.members
+        np.testing.assert_array_equal(a.v_m, b.v_m)
+        np.testing.assert_array_equal(a.s, b.s)
         c = sample_family(10, var, seed=6, nominal=nom)
-        assert a.members != c.members
+        assert not np.array_equal(a.v_m, c.v_m)
+        assert not np.array_equal(a.s, c.s)
 
     def test_scales_positive(self):
         nom = nominal_vtc(1.0)
         fam = sample_family(500, VariationSpec(v_m_std=0.0, s_rel_std=0.9),
                             seed=7, nominal=nom)
-        assert all(p.s > 0 for p in fam.members)
+        assert (fam.s > 0).all()
 
     def test_default_family_size_and_spread(self):
         fam = default_family(1.0, n=100, seed=11)
         assert len(fam) == 100
-        vm = np.array([p.v_m for p in fam.members])
-        assert 0.02 * 0.7 < vm.std() < 0.02 * 1.3
+        assert 0.02 * 0.7 < fam.v_m.std() < 0.02 * 1.3
 
     @pytest.mark.parametrize("spread", [
         {"v_m_std": -0.01}, {"s_rel_std": -0.1}, {"v_m_std": np.nan},
@@ -96,14 +99,26 @@ class TestFamilies:
         with pytest.raises(ConfigError):
             sample_family(0, VariationSpec(), 0, nominal_vtc(1.0))
 
-    def test_as_arrays(self):
-        fam = default_family(1.0, n=7, seed=1)
-        arrays = fam.as_arrays()
-        assert all(a.shape == (7,) for a in arrays)
-        # built once per family, and shared, so nobody may write to them
-        assert fam.as_arrays() is arrays
-        for arr, name in zip(arrays, ("v_m", "s", "v_high", "v_low")):
-            np.testing.assert_array_equal(
-                arr, [getattr(p, name) for p in fam.members])
+    @pytest.mark.parametrize("v_m, s", [
+        ([0.5, 0.5], [0.03]), ([], []), ([[0.5]], [[0.03]])])
+    def test_unequal_or_empty_rejected(self, v_m, s):
+        with pytest.raises(ConfigError, match="family size must be at least 1"):
+            VtcFamily(v_m=v_m, s=s, nominal=nominal_vtc(1.0))
+
+    def test_arrays_read_only(self):
+        """The family is its two arrays, each a read-only copy; every
+        member shares the nominal rails."""
+        v_m, s = [0.5, 0.48, 0.52], [0.03, 0.04, 0.035]
+        fam = VtcFamily(v_m=v_m, s=s, nominal=nominal_vtc(1.0))
+        assert len(fam) == 3
+        assert [f.name for f in dataclasses.fields(fam)] == [
+            "v_m", "s", "nominal"]
+        for arr, want in ((fam.v_m, v_m), (fam.s, s)):
+            np.testing.assert_array_equal(arr, want)
+            assert arr.dtype == float
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+        src = np.array(v_m)
+        fam = VtcFamily(v_m=src, s=s, nominal=nominal_vtc(1.0))
+        src[0] = 9.0
+        assert fam.v_m[0] == 0.5
