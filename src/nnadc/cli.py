@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import dse as _dse
 from . import metrics as _metrics
@@ -184,8 +183,7 @@ def cmd_simulate(config_path, pipeline_path, mode, force):
     _, enob = _metrics.enob_of_codes(codes, p.reso, stim.f_s, stim.f_in)
     path = cfg.out_dir() / "trace.csv"
     modelio.write_csv(path, ["input_v", "code", "reconstructed_v"],
-                      zip(stim.samples.tolist(), codes.tolist(),
-                          np.asarray(rec).tolist()))
+                      zip(stim.samples.tolist(), codes.tolist(), rec.tolist()))
     _write_manifest(cfg, "simulate", [path])
     click.echo(f"ENOB {enob:.3f} bits; wrote {path}")
 

@@ -107,9 +107,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (math.isfinite(self.vdd) and self.vdd > 0):
             raise ConfigError("vdd: must be positive and finite")
-        for key in ("v_m_std_ratio", "s_rel_std"):
+        for key in ("v_m_std_ratio", "s_rel_std", "mc_sigma"):
             if not 0 <= getattr(self, key) < math.inf:  # NaN fails too
                 raise ConfigError(f"{key}: must be non-negative and finite")
+        for key in ("family_size", "mc_runs"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key}: must be at least 1")
         n = self.stimulus_n
         if n < 2 or n & (n - 1):
             raise ConfigError(f"stimulus_n: {n} is not a power of two")

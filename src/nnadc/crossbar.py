@@ -66,6 +66,8 @@ class PerturbationSpec:
     def __post_init__(self):
         if not 0 <= self.sigma < np.inf:  # NaN fails both comparisons
             raise DeviceError("sigma must be non-negative and finite")
+        if self.seed < 0:
+            raise DeviceError("perturbation seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -174,8 +176,7 @@ def quantize_weight(w, grid: DeviceGrid, fan_in: int):
     # index on the differential grid; floor(x+0.5) rounds ties upward
     a = np.floor((arr / wm * (q - 1) + (q - 1)) / 2.0 + 0.5)
     a = np.clip(a, 0, q - 1)
-    out = (2 * a - (q - 1)) / (q - 1) * wm
-    return float(out) if np.isscalar(w) else out
+    return (2 * a - (q - 1)) / (q - 1) * wm
 
 
 def instantiate_conductances(weights, grid: DeviceGrid,

@@ -55,6 +55,8 @@ class McEvalSpec:
     def __post_init__(self):
         if self.runs < 1:
             raise ConfigError("need at least one Monte Carlo run")
+        if self.seed < 0:
+            raise ConfigError("Monte Carlo seed must be non-negative")
         if not 0 <= self.sigma < np.inf:  # NaN fails both comparisons
             raise ConfigError("Monte Carlo sigma must be non-negative and "
                               "finite")
@@ -186,8 +188,7 @@ def convert(p: PipelineConfig, v, mode: str = "behavioral") -> np.ndarray:
 
 def reconstruct(code, enc: EncodingScheme, width: int):
     """Midpoint reconstruction of integer codes ``width`` bits wide."""
-    out = enc.denormalize(_metrics.code_midpoints(code, width))
-    return float(out) if np.isscalar(code) else out
+    return enc.denormalize(_metrics.code_midpoints(code, width))
 
 
 def perturbed_stage(stage, sigma: float, rng: np.random.Generator):

@@ -121,47 +121,13 @@ class EncodingScheme:
         return self.v_min + a * (self.v_max - self.v_min)
 
 
-@dataclass(frozen=True)
-class DigitalCode:
-    """An M-bit output word, MSB first."""
-
-    bits: tuple
-    width: int = 0
-
-    def __post_init__(self):
-        if self.width == 0:
-            object.__setattr__(self, "width", len(self.bits))
-        if len(self.bits) != self.width:
-            raise ConfigError("bit count does not match width")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ConfigError("bits must be 0 or 1")
-
-    @classmethod
-    def from_value(cls, value: int, width: int) -> "DigitalCode":
-        if not 0 <= value < (1 << width):
-            raise DomainError(f"value {value} not representable in {width} bits")
-        bits = tuple((value >> (width - 1 - i)) & 1 for i in range(width))
-        return cls(bits, width)
-
-    @property
-    def value(self) -> int:
-        v = 0
-        for b in self.bits:
-            v = (v << 1) | b
-        return v
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-
 def ideal_stage_level(v, spec: StageSpec):
     """Level resolved by an ideal N-bit stage (floor convention, clamped)."""
     arr = np.asarray(v, dtype=float)
     if not np.all((arr >= 0) & (arr <= spec.vdd)):  # NaN fails too
         raise DomainError("input outside [0, vdd]")
-    lvl = np.minimum(np.floor(arr * spec.n_levels / spec.vdd),
-                     spec.n_levels - 1).astype(int)
-    return int(lvl) if np.isscalar(v) else lvl
+    return np.minimum(np.floor(arr * spec.n_levels / spec.vdd),
+                      spec.n_levels - 1).astype(int)
 
 
 def residue_arithmetic(v, level, spec: StageSpec):
@@ -179,10 +145,7 @@ def ideal_adc(v, m: int, enc: EncodingScheme):
     if not np.all((arr >= enc.v_min) & (arr <= enc.v_max)):  # NaN fails too
         raise DomainError("input outside the encoding range")
     t = enc.normalize(arr)
-    value = np.minimum(np.floor(t * (1 << m)), (1 << m) - 1).astype(np.int64)
-    if np.isscalar(v):
-        return DigitalCode.from_value(int(value), m)
-    return value
+    return np.minimum(np.floor(t * (1 << m)), (1 << m) - 1).astype(np.int64)
 
 
 def smooth_decode_array(bits: np.ndarray, spec: StageSpec) -> np.ndarray:
@@ -224,8 +187,7 @@ def log_stage_level(v_norm):
     arr = np.asarray(v_norm, dtype=float)
     if not np.all((arr >= 0) & (arr <= 1)):  # NaN fails too
         raise DomainError("normalized input outside [0, 1]")
-    bit = (np.log2(1.0 + arr) >= 0.5).astype(int)
-    return int(bit) if np.isscalar(v_norm) else bit
+    return (np.log2(1.0 + arr) >= 0.5).astype(int)
 
 
 def log_stage_residue(v_norm, bit):
@@ -238,8 +200,7 @@ def log_stage_residue(v_norm, bit):
 def log_stage_oracle(v_norm):
     """One ideal logarithmic 1-bit stage: (bit, residue)."""
     bit = log_stage_level(v_norm)
-    r = log_stage_residue(v_norm, bit)
-    return (bit, float(r)) if np.isscalar(v_norm) else (bit, r)
+    return bit, log_stage_residue(v_norm, bit)
 
 
 def stage_level_targets(v: np.ndarray, spec: StageSpec,

@@ -16,6 +16,7 @@ whole conversion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -63,11 +64,20 @@ class TrainConfig:
     refine_hops: int = 20   # random-restart hops around the refined point
 
     def __post_init__(self):
+        for name in ("batch_size", "total_iters", "projection_period",
+                     "seed", "refine_passes", "refine_hops"):
+            value = getattr(self, name)
+            # bool is an int subclass, but true/false is no count
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigError(f"{name}: expected int, got "
+                                  f"{type(value).__name__} {value!r}")
         if min(self.batch_size, self.total_iters, self.projection_period) < 1:
             raise ConfigError("batch size, iterations and projection period "
                               "must be positive")
         if not all(0 < lr < np.inf for lr in (self.lr_start, self.lr_end)):
             raise ConfigError("learning rates must be positive and finite")
+        if self.seed < 0:
+            raise ConfigError(f"seed: {self.seed} is negative")
         if self.refine_passes < 0 or self.refine_hops < 0:
             raise ConfigError("refinement counts must be non-negative")
 
@@ -135,19 +145,21 @@ def _train_logistic(center, z: np.ndarray, scale) -> np.ndarray:
     return np.divide(1.0, z, out=z)
 
 
-def _forward(params: MlpParams, x: np.ndarray, family: VtcFamily,
-             kind: str, vdd: float,
+def backprop(params: MlpParams, x: np.ndarray, targets: np.ndarray,
+             family: VtcFamily, kind: str, vdd: float,
              surrogate_ratio: float = COMPARATOR_WIDTH_RATIO):
-    """Train-mode forward pass with intermediate cache for backprop.
+    """Loss and analytic gradients of the train-mode pass over one batch.
 
     Each hidden neuron uses its assigned family member's v_m and s and
     the family's shared rails; the sub-ADC outputs pass through a steep
     logistic comparator surrogate.  The steps that combine the (batch,
     hidden) array with a per-neuron vector (b1, v_m, s) run on
-    ``_wide_rows``' view: the same operands meet in the same order, so
-    every value is bit for bit the formula's.  The rail swing v_h - v_l
-    and v_l are scalars.  The cache holds s tiled to that view's rows,
-    and the swing.
+    ``_wide_rows``' view, with ``s`` tiled to its rows.  The backward
+    pass runs in place on the two (batch, hidden) arrays: ``h`` becomes
+    d h / d pre1, ``sig_h`` 1 - sig_h and then d loss / d pre1.  Every
+    step keeps the formula's operands, order and memory layout, so each
+    value, and each matmul and ``sum(axis=0)``'s summation order, is bit
+    for bit the formula's.  The rail swing v_h - v_l and v_l are scalars.
     """
     _check_batch(params, x)
     if np.any(params.vtc_assignment >= len(family)):
@@ -174,7 +186,17 @@ def _forward(params: MlpParams, x: np.ndarray, family: VtcFamily,
         out, dout = pre2, 1.0
     else:
         raise ConfigError(f"unknown network kind {kind!r}")
-    return out, (sig_h, h, dout, (s, swing))
+    loss = mse_loss(out, targets)
+    d2 = 2.0 * (out - targets) / len(x) * dout    # dC/dpre2
+    gw2 = h.T @ d2
+    gb2 = d2.sum(axis=0)
+    np.multiply(-swing / s, sig_h.reshape(-1, s.size),
+                out=h.reshape(-1, s.size))
+    dvtc = h  # d h / d pre1
+    dvtc *= np.subtract(1.0, sig_h, out=sig_h)
+    d1 = np.matmul(d2, params.w2.T, out=sig_h)  # dC/dh, then dC/dpre1
+    d1 *= dvtc
+    return loss, {"w1": x.T @ d1, "b1": d1.sum(axis=0), "w2": gw2, "b2": gb2}
 
 
 def forward_stage(params: MlpParams, inputs: np.ndarray, family: VtcFamily,
@@ -183,7 +205,7 @@ def forward_stage(params: MlpParams, inputs: np.ndarray, family: VtcFamily,
 
     ``mode`` must be ``"infer"``: the nominal VTC and, for sub-ADC
     outputs, hard comparators at vdd/2, as refinement scores them.
-    ``backprop``'s train pass is ``_forward``.
+    ``backprop`` runs the train pass.
     """
     if mode != "infer":
         raise ConfigError(f"unknown forward mode {mode!r}")
@@ -201,55 +223,24 @@ def mse_loss(outputs: np.ndarray, targets: np.ndarray) -> float:
     return float(((targets - outputs) ** 2).sum(axis=-1).mean())
 
 
-def backprop(params: MlpParams, x: np.ndarray, targets: np.ndarray,
-             family: VtcFamily, kind: str, vdd: float,
-             surrogate_ratio: float = COMPARATOR_WIDTH_RATIO):
-    """Loss and analytic gradients for one train-mode batch.
-
-    In place on ``_forward``'s two (batch, hidden) arrays: ``h`` becomes
-    d h / d pre1, ``sig_h`` 1 - sig_h and then d loss / d pre1.  Every
-    step keeps the formula's operands, order and memory layout, so each
-    matmul and ``sum(axis=0)`` sums in its old order, bit for bit.  The
-    per-neuron factor -(v_h - v_l) / s meets sig_h on ``_forward``'s wide
-    rows, an elementwise product with the same bits.
-    """
-    out, (sig_h, h, dout, (s, swing)) = _forward(
-        params, x, family, kind, vdd, surrogate_ratio)
-    loss = mse_loss(out, targets)
-    d2 = 2.0 * (out - targets) / len(x) * dout    # dC/dpre2
-    gw2 = h.T @ d2
-    gb2 = d2.sum(axis=0)
-    np.multiply(-swing / s, sig_h.reshape(-1, s.size),
-                out=h.reshape(-1, s.size))
-    dvtc = h  # d h / d pre1
-    dvtc *= np.subtract(1.0, sig_h, out=sig_h)
-    d1 = np.matmul(d2, params.w2.T, out=sig_h)  # dC/dh, then dC/dpre1
-    d1 *= dvtc
-    return loss, {"w1": x.T @ d1, "b1": d1.sum(axis=0), "w2": gw2, "b2": gb2}
-
-
-@dataclass
-class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    t: int = 0
-
-
-def adam_step(params: MlpParams, grads: dict, state: AdamState,
+def adam_step(params: MlpParams, grads: dict, moments: dict,
               iteration: int, config: TrainConfig) -> None:
-    """In-place Adam update with bias correction and the lr schedule."""
-    if not state.m:
-        for k, g in grads.items():
-            state.m[k] = np.zeros_like(g)
-            state.v[k] = np.zeros_like(g)
-    state.t += 1
+    """In-place Adam update with bias correction and the lr schedule.
+
+    ``moments`` maps each parameter name to its ``(m, v)`` moments and is
+    updated too; a name it does not hold yet has zero moments.  The step
+    count is ``iteration + 1``.
+    """
+    t = iteration + 1
     lr = config.lr_at(iteration)
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     for k, g in grads.items():
-        state.m[k] = b1 * state.m[k] + (1 - b1) * g
-        state.v[k] = b2 * state.v[k] + (1 - b2) * g * g
-        m_hat = state.m[k] / (1 - b1 ** state.t)
-        v_hat = state.v[k] / (1 - b2 ** state.t)
+        m, v = moments.get(k, (0.0, 0.0))
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        moments[k] = m, v
+        m_hat = m / (1 - b1 ** t)
+        v_hat = v / (1 - b2 ** t)
         arr = getattr(params, k)
         arr -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
@@ -504,7 +495,7 @@ def _train_net(kind: str, data, hidden: int, family: VtcFamily,
     # iteration 0 redraws this assignment; the draw keeps its place in
     # the seeded stream
     params.vtc_assignment = rng.integers(len(family), size=hidden)
-    state = AdamState()
+    moments = {}
     snapshots = []
     decay = COMPARATOR_WIDTH_RATIO / COMPARATOR_WIDTH_START
     for it in range(config.total_iters):
@@ -517,7 +508,7 @@ def _train_net(kind: str, data, hidden: int, family: VtcFamily,
         if not np.isfinite(loss):
             raise TrainingError(f"{kind} loss became non-finite",
                                 seed=config.seed, iteration=it)
-        adam_step(params, grads, state, it, config)
+        adam_step(params, grads, moments, it, config)
         clip_params(params, grid, bias_drive)
         if (it + 1) % config.projection_period == 0 or it + 1 == config.total_iters:
             snapshots.append(project(params, grid, bias_drive))

@@ -131,7 +131,7 @@ def vtc_eval(p: VtcParams, v, out=None):
     out *= p.v_high - p.v_low
     if p.v_low:  # the scaled logistic is +0 or more, or NaN: 0 V adds nothing
         out += p.v_low
-    return float(out) if np.isscalar(v) else out
+    return out
 
 
 def sample_family(n: int, variation: VariationSpec, seed: int,

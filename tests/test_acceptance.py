@@ -37,7 +37,6 @@ from nnadc.pipeline import (
     simulate_stage,
 )
 from nnadc.signal_core import (
-    DigitalCode,
     EncodingScheme,
     SineStimulus,
     StageSpec,

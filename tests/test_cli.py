@@ -89,7 +89,8 @@ class TestTrainStage:
         ("vdd", "1"), ("stimulus_n", 1000), ("v_m_std_ratio", -0.01),
         ("s_rel_std", -0.1), ("s_rel_std", float("nan")),
         ("stimulus_bin", 3001), ("stimulus_bin", -1),
-        ("encoding", {"v_max": 2.0})])
+        ("encoding", {"v_max": 2.0}), ("family_size", -5), ("mc_runs", 0),
+        ("mc_sigma", -1)])
     def test_bad_field_exit_code(self, runner, workdir, field, value):
         cfg = json.loads(workdir["cfg"].read_text())
         cfg[field] = value
@@ -100,6 +101,31 @@ class TestTrainStage:
         assert res.exception is None or isinstance(res.exception,
                                                     SystemExit)
         assert f"error: {field}" in res.output
+
+    @pytest.mark.parametrize("train, args, message", [
+        ({"batch_size": 16.5}, [], "batch_size: expected int, got float"),
+        ({"total_iters": 4.5}, [], "total_iters: expected int"),
+        ({"refine_passes": 0.5}, [], "refine_passes: expected int"),
+        ({"projection_period": 2.5}, [], "projection_period: expected int"),
+        ({"refine_hops": 1.5}, [], "refine_hops: expected int"),
+        ({"batch_size": True}, [], "batch_size: expected int, got bool"),
+        ({"seed": 1.5}, [], "seed: expected int, got float"),
+        ({"seed": -1}, [], "seed: -1 is negative"),
+        ({}, ["--seed", "-1"], "seed: -1 is negative")],
+        ids=["batch-float", "iters-float", "passes-float", "period-float",
+             "hops-float", "batch-bool", "seed-float", "train-seed",
+             "seed-flag"])
+    def test_bad_train_count_exit_code(self, runner, workdir, train, args,
+                                       message):
+        cfg = json.loads(workdir["cfg"].read_text())
+        cfg["train"].update(train)
+        workdir["cfg"].write_text(json.dumps(cfg))
+        res = runner.invoke(main, ["train-stage", "--config",
+                                   str(workdir["cfg"]), *args])
+        assert res.exit_code == EXIT_CONFIG, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert message in res.output
+        assert not (workdir["out"] / "stage_metrics.csv").exists()
 
     @pytest.mark.parametrize("extra, message", [
         ({"mc_run": 5}, "unknown config key(s): mc_run"),

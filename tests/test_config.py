@@ -104,7 +104,13 @@ class TestFromDict:
         ({"stimulus_bin": 0}, "stimulus_bin"),
         ({"stimulus_n": 64, "stimulus_bin": 32}, "stimulus_bin"),
         ({"vdd": -1, "encoding": {"kind": "logarithmic"}}, "vdd"),
-        ({"vdd": float("nan"), "encoding": {}}, "vdd")])
+        ({"vdd": float("nan"), "encoding": {}}, "vdd"),
+        ({"family_size": -5}, "family_size"),
+        ({"family_size": 0}, "family_size"),
+        ({"mc_runs": 0}, "mc_runs"),
+        ({"mc_sigma": -1}, "mc_sigma"),
+        ({"mc_sigma": float("nan")}, "mc_sigma"),
+        ({"mc_sigma": float("inf")}, "mc_sigma")])
     def test_rejects_out_of_range_value(self, data, key):
         with pytest.raises(ConfigError, match=f"^{key}: "):
             ExperimentConfig.from_dict(data)
@@ -215,4 +221,14 @@ def test_non_finite_field_refused(build, valid, name, error, bad):
     value = [bad] if build is VtcFamily else bad
     with pytest.raises(NnadcError) as exc:
         build(**{**valid, name: value})
+    assert exc.type is error
+
+
+@pytest.mark.parametrize("build, error", [
+    (TrainConfig, ConfigError), (McEvalSpec, ConfigError),
+    (PerturbationSpec, DeviceError)], ids=lambda b: b.__name__)
+def test_negative_seed_refused(build, error):
+    build(seed=0)
+    with pytest.raises(NnadcError, match="seed") as exc:
+        build(seed=-1)
     assert exc.type is error

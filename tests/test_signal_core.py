@@ -8,7 +8,6 @@ import pytest
 from nnadc.errors import CoherenceError, ConfigError, DomainError, ShapeError
 from nnadc.metrics import sndr_enob
 from nnadc.signal_core import (
-    DigitalCode,
     EncodingScheme,
     LOG_THRESHOLD,
     StageSpec,
@@ -102,9 +101,11 @@ class TestIdealResidue:
 
 class TestIdealAdc:
     def test_boundaries(self):
-        enc = EncodingScheme()
-        assert str(ideal_adc(0.0, 4, enc)) == "0000"
-        assert str(ideal_adc(np.nextafter(1.0, 0.0), 4, enc)) == "1111"
+        v = np.array([0.0, np.nextafter(1 / 16, 0.0), 1 / 16,
+                      np.nextafter(1.0, 0.0), 1.0])
+        codes = ideal_adc(v, 4, EncodingScheme())
+        assert codes.dtype == np.int64
+        np.testing.assert_array_equal(codes, [0, 0, 1, 15, 15])
 
     def test_matches_stage_composition(self):
         enc = EncodingScheme()
@@ -147,21 +148,6 @@ class TestEncodingScheme:
             EncodingScheme("linear", 1.0, 1.0)
         with pytest.raises(ConfigError):
             EncodingScheme("cubic", 0.0, 1.0)
-
-
-class TestDigitalCode:
-    def test_round_trip(self):
-        for value in (0, 5, 11, 15):
-            code = DigitalCode.from_value(value, 4)
-            assert code.value == value
-            assert len(code.bits) == 4
-
-    def test_str(self):
-        assert str(DigitalCode.from_value(11, 4)) == "1011"
-
-    def test_rejects_overflow(self):
-        with pytest.raises(DomainError):
-            DigitalCode.from_value(16, 4)
 
 
 class TestSmoothCodes:

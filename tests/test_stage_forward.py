@@ -350,13 +350,6 @@ class TestInPlaceKernels:
         vtc_eval(p, in_place, out=in_place)
         assert_same_bits(in_place, want)
 
-    @given(st.floats())
-    def test_vtc_eval_scalar(self, v):
-        p = VtcParams(v_m=0.5, s=1.0 / 30.0, v_high=2.5)
-        got = vtc_eval(p, v)
-        assert isinstance(got, float)
-        assert_same_bits(got, ref_vtc(p, v))
-
 
 class TestLayerWeights:
     def test_computed_once_per_layer(self, monkeypatch):

@@ -14,9 +14,11 @@ from nnadc.crossbar import DeviceGrid, quantize_weight, vmm
 from nnadc.errors import ConfigError, ShapeError, TrainingError
 from nnadc.signal_core import EncodingScheme, StageSpec, smooth_decode_array
 from nnadc.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     COMPARATOR_WIDTH_RATIO,
     COMPARATOR_WIDTH_START,
-    AdamState,
     MlpParams,
     TrainConfig,
     adam_step,
@@ -252,11 +254,36 @@ class TestAdam:
         params = MlpParams(w1=np.zeros((1, 1)), b1=np.zeros(1),
                            w2=np.zeros((1, 1)), b2=np.zeros(1),
                            vtc_assignment=np.zeros(1, dtype=int))
-        state = AdamState()
+        moments = {}
         for it in range(2000):
             grads = {"w2": 2.0 * (params.w2 - 3.0)}
-            adam_step(params, grads, state, it, cfg)
+            adam_step(params, grads, moments, it, cfg)
         assert params.w2[0, 0] == pytest.approx(3.0, abs=0.05)
+
+    def test_matches_the_formula(self):
+        """Each step is plain Adam bit for bit: the moments start at zero
+        and the bias correction counts t = iteration + 1."""
+        cfg = TrainConfig(lr_start=1e-2, lr_end=1e-3, total_iters=8)
+        rng = np.random.default_rng(11)
+        params = random_params(2, 3, 2, rng)
+        names = ("w1", "b1", "w2", "b2")
+        want = {k: getattr(params, k).copy() for k in names}
+        m = {k: np.zeros_like(a) for k, a in want.items()}
+        v = {k: np.zeros_like(a) for k, a in want.items()}
+        moments = {}
+        for it in range(cfg.total_iters):
+            grads = {k: rng.normal(size=a.shape) for k, a in want.items()}
+            adam_step(params, grads, moments, it, cfg)
+            t = it + 1
+            for k, g in grads.items():
+                m[k] = ADAM_BETA1 * m[k] + (1 - ADAM_BETA1) * g
+                v[k] = ADAM_BETA2 * v[k] + (1 - ADAM_BETA2) * g * g
+                m_hat = m[k] / (1 - ADAM_BETA1 ** t)
+                v_hat = v[k] / (1 - ADAM_BETA2 ** t)
+                want[k] = want[k] - cfg.lr_at(it) * m_hat / (
+                    np.sqrt(v_hat) + ADAM_EPS)
+            for k in names:
+                assert np.array_equal(getattr(params, k), want[k]), (it, k)
 
     def test_lr_schedule_geometric(self):
         cfg = TrainConfig(lr_start=1e-3, lr_end=1e-4, total_iters=101)
@@ -312,7 +339,10 @@ class TestForward:
         params = random_params(1, 3, 2, rng)
         x = rng.uniform(0, 1, size=(200, 1))
         hard = forward_stage(params, x, FAMILY, "infer", "subadc", VDD)
-        soft, _ = trainer_module._forward(params, x, FAMILY, "subadc", VDD)
+        # backprop's train pass, which ``test_matches_the_formulas`` ties
+        # to this one bit for bit
+        soft, _ = formula_forward(params, x, FAMILY, "subadc", VDD,
+                                  COMPARATOR_WIDTH_RATIO)
         # the train pass uses family members; compare only decision agreement
         agree = np.mean((soft > FAMILY.nominal.v_high / 2) == (hard > 0))
         assert agree > 0.9
@@ -332,7 +362,8 @@ class TestForward:
                           VDD)
 
     def test_unknown_mode(self):
-        """Only inference is a forward mode; ``_forward`` is the train pass."""
+        """Only inference is a forward mode; ``backprop`` runs the train
+        pass."""
         params = random_params(1, 3, 1, np.random.default_rng(5))
         for mode in ("spice", "train"):
             with pytest.raises(ConfigError, match="forward mode"):

@@ -17,7 +17,10 @@ finishes.
 The output holds, per workload and end-to-end metric, both sides' q1,
 median and q3 (numpy percentiles 25, 50 and 75) and all runs, the
 change of the median in percent, and the number of pairs the change
-won (ties count for neither side).
+won (ties count for neither side).  ``--claim`` names the metric a
+change claims to improve, which each progress line then prints; a change
+that claims no gain leaves it out, and the output records ``"claimed":
+null``.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ def parse_args(argv):
                     help="number in the output name BENCH_<pr>.json")
     ap.add_argument("--workdir", type=Path, required=True,
                     help="new or empty directory for the two tree copies")
-    ap.add_argument("--claim", required=True, metavar="WORKLOAD:METRIC")
+    ap.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                    help="the metric the change claims to improve, if any")
     ap.add_argument("--what", required=True,
                     help="one sentence on what the change does")
     args = ap.parse_args(argv)
@@ -120,7 +124,10 @@ def summarise(runs: list, units: dict) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    claim_workload, claim_metric = args.claim.split(":", 1)
+    claimed = None
+    if args.claim is not None:
+        claim_workload, claim_metric = args.claim.split(":", 1)
+        claimed = {"workload": claim_workload, "metric": claim_metric}
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
@@ -140,10 +147,12 @@ def main(argv=None) -> int:
                     log.write(json.dumps({"side": side, "workload": workload,
                                           "seed": seed, **pair[side]}) + "\n")
                     log.flush()
-                    value = pair[side]["metrics"][claim_metric]["value"]
-                    print(f"seed {seed} {workload} {side}: failed "
-                          f"{pair[side]['failed']}, {claim_metric} "
-                          f"{value:.6g}", flush=True)
+                    line = (f"seed {seed} {workload} {side}: failed "
+                            f"{pair[side]['failed']}")
+                    if claimed is not None:
+                        value = pair[side]["metrics"][claim_metric]["value"]
+                        line += f", {claim_metric} {value:.6g}"
+                    print(line, flush=True)
                 runs[workload].append(pair)
     result = {
         "what": args.what,
@@ -156,7 +165,7 @@ def main(argv=None) -> int:
         "parent": commits["parent"],
         "host": f"{os.cpu_count()}-vCPU {platform.machine()}, Python "
                 f"{platform.python_version()}, numpy {np.__version__}",
-        "claimed": {"workload": claim_workload, "metric": claim_metric},
+        "claimed": claimed,
         "quartiles": f"q1 and q3 are numpy percentiles 25 and 75 of the "
                      f"{SEEDS} runs",
         "workloads": {w: summarise(runs[w], units) for w in workloads},
