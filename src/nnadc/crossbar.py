@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DeviceError, PrecisionError, ShapeError
+from .errors import DeviceError, PrecisionError, ShapeError, check_fields
 
 # Relative tolerance when checking that a weight sits on the device grid.
 _GRID_RTOL = 1e-9
@@ -31,6 +32,8 @@ class DeviceGrid:
     precision_bits: int = 3
 
     def __post_init__(self):
+        check_fields(self, ("g_off", "g_on"), Real, DeviceError)
+        check_fields(self, ("precision_bits",), Integral, DeviceError)
         if not 0 < self.g_off < self.g_on < np.inf:  # NaN fails too
             raise DeviceError("need 0 < g_off < g_on < inf")
         if not 1 <= self.precision_bits <= 7:
@@ -66,6 +69,7 @@ class PerturbationSpec:
     def __post_init__(self):
         if not 0 <= self.sigma < np.inf:  # NaN fails both comparisons
             raise DeviceError("sigma must be non-negative and finite")
+        check_fields(self, ("seed",), Integral, DeviceError)
         if self.seed < 0:
             raise DeviceError("perturbation seed must be non-negative")
 

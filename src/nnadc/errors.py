@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field type check
+that raises them."""
+
+from numbers import Integral
 
 
 class NnadcError(Exception):
@@ -42,3 +45,15 @@ class TrainingError(NnadcError):
         super().__init__(f"{message} (seed {seed}, iteration {iteration})")
         self.seed = seed
         self.iteration = iteration
+
+
+def check_fields(obj, names, kind: type, error: type) -> None:
+    """Refuse, with ``error``, a field of ``obj`` that is not a ``kind``
+    number (``numbers.Integral`` or ``numbers.Real``).  bool is an int
+    subclass, but true/false is no count or voltage."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            expected = "int" if kind is Integral else "a real number"
+            raise error(f"{name}: expected {expected}, got "
+                        f"{type(value).__name__} {value!r}")

@@ -18,6 +18,7 @@ copy of its two conductance arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from . import metrics as _metrics
 from . import signal_core
 from .crossbar import PerturbationSpec, perturb_resistances, vmm
 from .dse import MAX_RESO
-from .errors import ConfigError, NnadcError, ShapeError
+from .errors import ConfigError, NnadcError, ShapeError, check_fields
 from .signal_core import (
     EncodingScheme,
     SineStimulus,
@@ -55,6 +56,7 @@ class McEvalSpec:
     def __post_init__(self):
         if self.runs < 1:
             raise ConfigError("need at least one Monte Carlo run")
+        check_fields(self, ("seed",), Integral, ConfigError)
         if self.seed < 0:
             raise ConfigError("Monte Carlo seed must be non-negative")
         if not 0 <= self.sigma < np.inf:  # NaN fails both comparisons

@@ -7,6 +7,8 @@ the behavioral models are tested against.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Literal
@@ -148,33 +150,52 @@ def ideal_adc(v, m: int, enc: EncodingScheme):
     return np.minimum(np.floor(t * (1 << m)), (1 << m) - 1).astype(np.int64)
 
 
+@functools.lru_cache
+def _decode_plan(codes: tuple) -> tuple:
+    """The ascending distinct values of a code table, and each level's
+    value indices.  Equal tables share a plan: ``1`` and ``1.0`` give the
+    same float terms."""
+    values = tuple(sorted(set(itertools.chain.from_iterable(codes))))
+    index = {v: i for i, v in enumerate(values)}
+    return values, tuple(tuple(index[c] for c in code) for code in codes)
+
+
 def smooth_decode_array(bits: np.ndarray, spec: StageSpec) -> np.ndarray:
     """Nearest-codeword decode of a (batch, S) bit array to stage levels.
 
     Soft bits decode to the level at the least L1 distance.  Each
-    level's distance is summed column by column, left to right, which is
-    numpy's own summation order below 8 terms; a custom code table 8 or
-    more bits wide may therefore resolve exact-arithmetic ties
-    differently from a numpy ``sum``.  A running strict ``<`` minimum
-    sends ties to the lower level, as ``argmin`` does; a 2-level table
-    (the 1-bit stage) needs only its one strict ``<``.  A row with a NaN
-    bit goes to level 0.
+    distinct code value's |b - c| terms are computed once, over the
+    whole array; the plan (the values and each level's value indices)
+    is cached per code table.  Each level's distance then sums its
+    columns' terms left to right, which is numpy's own summation order
+    below 8 terms; a custom code table 8 or more bits wide may therefore
+    resolve exact-arithmetic ties differently from a numpy ``sum``.  A
+    running strict ``<`` minimum sends ties to the lower level, as
+    ``argmin`` does; a 2-level table (the 1-bit stage) needs only its
+    one strict ``<``.  A row with a NaN bit goes to level 0.
     """
     bits = np.asarray(bits, dtype=float)
     if bits.ndim != 2 or bits.shape[1] != spec.smooth_width:
         raise ShapeError(f"expected a (batch, {spec.smooth_width}) bit "
                          f"array, got shape {bits.shape}")
-    cols = list(bits.T)
-    codes = spec.codes()
-    level = np.zeros(bits.shape[0], dtype=np.intp)
+    values, levels = _decode_plan(spec.codes())
+    terms = []
+    for c in values:
+        if c == 0:
+            terms.append(np.abs(bits))
+        else:
+            t = np.subtract(bits, c)
+            terms.append(np.abs(t, out=t))
+    level = None if len(levels) == 2 else np.zeros(bits.shape[0], np.intp)
     best = None
-    for lv, code in enumerate(codes):
-        dist = np.abs(cols[0] - code[0])
-        for col, c in zip(cols[1:], code[1:]):
-            dist += np.abs(col - c)
+    for lv, idx in enumerate(levels):
+        # a spec's code is at least 2 bits wide
+        dist = terms[idx[0]][:, 0] + terms[idx[1]][:, 1]
+        for k in range(2, len(idx)):
+            dist += terms[idx[k]][:, k]
         if best is None:
             best = dist
-        elif len(codes) == 2:
+        elif level is None:
             return np.less(dist, best).astype(np.intp)
         else:
             level[dist < best] = lv

@@ -16,14 +16,14 @@ whole conversion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
 from . import metrics as _metrics
 from .crossbar import (DeviceGrid, _wide_rows, instantiate_conductances,
                        quantize_weight)
-from .errors import ConfigError, ShapeError, TrainingError
+from .errors import ConfigError, ShapeError, TrainingError, check_fields
 from .pipeline import stage_levels
 # the stage-target oracles live in signal_core; perfbench calls them here
 from .signal_core import (
@@ -64,13 +64,10 @@ class TrainConfig:
     refine_hops: int = 20   # random-restart hops around the refined point
 
     def __post_init__(self):
-        for name in ("batch_size", "total_iters", "projection_period",
-                     "seed", "refine_passes", "refine_hops"):
-            value = getattr(self, name)
-            # bool is an int subclass, but true/false is no count
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ConfigError(f"{name}: expected int, got "
-                                  f"{type(value).__name__} {value!r}")
+        check_fields(self, ("batch_size", "total_iters", "projection_period",
+                            "seed", "refine_passes", "refine_hops"),
+                     Integral, ConfigError)
+        check_fields(self, ("lr_start", "lr_end"), Real, ConfigError)
         if min(self.batch_size, self.total_iters, self.projection_period) < 1:
             raise ConfigError("batch size, iterations and projection period "
                               "must be positive")
@@ -125,10 +122,18 @@ def _decision(kind: str, nominal: VtcParams, vdd: float):
     """Inference output as a function of the output pre-activations.
 
     Sub-ADC outputs are hard comparators at vdd/2 that drive the nominal
-    rail; residue outputs are the pre-activations themselves.
+    rail, written into the pre-activation array itself: 1.0 or 0.0 times
+    the rail, the bits of ``v_high * (pre2 > vdd / 2).astype(float)``.
+    Residue outputs are the pre-activations themselves.
     """
     if kind == "subadc":
-        return lambda pre2: nominal.v_high * (pre2 > vdd / 2.0).astype(float)
+        half, rail = vdd / 2.0, nominal.v_high
+
+        def compare(pre2):
+            np.greater(pre2, half, out=pre2)
+            pre2 *= rail
+            return pre2
+        return compare
     if kind == "residue":
         return lambda pre2: pre2
     raise ConfigError(f"unknown network kind {kind!r}")
@@ -298,7 +303,9 @@ def refine_discrete(params: MlpParams, grid: DeviceGrid, bias_drive: float,
     bias line (its weight rows all equal: every line of a joint lattice,
     and the bias column of a single-coordinate one) that gemv is the
     same for every candidate, so it runs once and the bias drives are
-    added to it; addition commutes, so the sums keep their bits.
+    added to it; addition commutes, so the sums keep their bits.  A
+    sub-ADC's comparators overwrite the ``outs`` buffer, which each line
+    and each output move refills before deciding it.
 
     ``score`` maps the (points, outputs) batch for inputs ``x`` to a float.
     """
@@ -309,10 +316,10 @@ def refine_discrete(params: MlpParams, grid: DeviceGrid, bias_drive: float,
     nom = family.nominal
     out_of = _decision(kind, nom, vdd)
     h = _hidden(nom, x, p.w1, p.b1)
-    pre2 = h @ p.w2 + p.b2
-    best = score(out_of(pre2))
+    start = h @ p.w2 + p.b2
     # point-last layouts: a line's outputs are (candidate, output, point)
-    h, pre2 = h.T.copy(), pre2.T.copy()
+    h, pre2 = h.T.copy(), start.T.copy()
+    best = score(out_of(start))  # a sub-ADC decides in place
     outs = np.empty((len(lev1), *pre2.shape))
     bias_hs = np.empty((len(lev1), x.shape[0]))  # a bias line's outputs
     # Joint column enumeration is what repairs coarse lattices, but it

@@ -111,10 +111,13 @@ class TestTrainStage:
         ({"batch_size": True}, [], "batch_size: expected int, got bool"),
         ({"seed": 1.5}, [], "seed: expected int, got float"),
         ({"seed": -1}, [], "seed: -1 is negative"),
-        ({}, ["--seed", "-1"], "seed: -1 is negative")],
+        ({}, ["--seed", "-1"], "seed: -1 is negative"),
+        ({"lr_start": True}, [],
+         "lr_start: expected a real number, got bool True"),
+        ({"lr_end": True}, [], "lr_end: expected a real number, got bool")],
         ids=["batch-float", "iters-float", "passes-float", "period-float",
              "hops-float", "batch-bool", "seed-float", "train-seed",
-             "seed-flag"])
+             "seed-flag", "lr-start-bool", "lr-end-bool"])
     def test_bad_train_count_exit_code(self, runner, workdir, train, args,
                                        message):
         cfg = json.loads(workdir["cfg"].read_text())
@@ -137,7 +140,15 @@ class TestTrainStage:
         ({"grid": {"g_off": float("nan")}}, "grid: DeviceError"),
         ({"train": {"lr_start": float("nan")}},
          "train: ConfigError: learning rates must be positive and finite"),
-        ({"train": {"lr_end": float("inf")}}, "train: ConfigError")])
+        ({"train": {"lr_end": float("inf")}}, "train: ConfigError"),
+        ({"grid": {"precision_bits": 2.5}},
+         "grid: DeviceError: precision_bits: expected int, got float 2.5"),
+        ({"grid": {"precision_bits": True}},
+         "grid: DeviceError: precision_bits: expected int, got bool True"),
+        ({"grid": {"g_off": True, "g_on": 2.0}},
+         "grid: DeviceError: g_off: expected a real number, got bool True"),
+        ({"grid": {"g_on": True}},
+         "grid: DeviceError: g_on: expected a real number, got bool True")])
     def test_bad_key_or_block_exit_code(self, runner, workdir, extra,
                                         message):
         cfg = {**json.loads(workdir["cfg"].read_text()), **extra}

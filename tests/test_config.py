@@ -228,7 +228,11 @@ def test_non_finite_field_refused(build, valid, name, error, bad):
     (TrainConfig, ConfigError), (McEvalSpec, ConfigError),
     (PerturbationSpec, DeviceError)], ids=lambda b: b.__name__)
 def test_negative_seed_refused(build, error):
+    """A seed reaches ``SeedSequence``: a negative, float or bool one is
+    refused with the spec's typed error, and a numpy integer passes."""
     build(seed=0)
-    with pytest.raises(NnadcError, match="seed") as exc:
-        build(seed=-1)
-    assert exc.type is error
+    build(seed=np.int64(3))
+    for bad in (-1, 1.5, np.float64(2.0), True):
+        with pytest.raises(NnadcError, match="seed") as exc:
+            build(seed=bad)
+        assert exc.type is error

@@ -1,10 +1,13 @@
 """Bit-exactness of the fast numeric kernels against their reference formulas.
 
 ``vtc._logistic`` (one exp per element) and
-``signal_core.smooth_decode_array`` run in every refinement candidate and
-every conversion, ``trainer.refine_discrete`` computes a lattice line of
-candidates with one stacked matmul (one gemv on a bias line), and
-``pipeline.convert`` runs its crossbar products on column-major batches.
+``signal_core.smooth_decode_array`` (one whole-array |b - c| term per
+distinct code value, from a plan cached per code table) run in every
+refinement candidate and every conversion; the decode reads its terms'
+columns in whatever layout its bits come in.  ``trainer.refine_discrete``
+computes a lattice line of candidates with one stacked matmul (one gemv
+on a bias line), and ``pipeline.convert`` runs its crossbar products on
+column-major batches.
 ``crossbar.vmm`` adds the bias row of a row-major output on wide rows;
 ``test_stage_forward`` checks it against the allocating product.
 Their fast forms must give exactly the results of the straightforward
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nnadc.crossbar import CrossbarLayer, DeviceGrid
-from nnadc.signal_core import StageSpec, smooth_decode_array
+from nnadc.signal_core import StageSpec, _decode_plan, smooth_decode_array
 from nnadc.vtc import _logistic
 
 
@@ -107,6 +110,17 @@ def bit_batches(draw):
         bits = draw(hnp.arrays(np.int64, shape,
                                elements=st.integers(0, 1)))
         bits = bits.astype({"hard": float, "int": np.int64, "bool": bool}[kind])
+    layout = draw(st.sampled_from(["C", "F", "line", "rows"]))
+    if layout == "F":
+        bits = np.asfortranarray(bits)
+    elif layout == "line":  # out.T of a (candidates, outputs, points) line
+        line = np.zeros((3, *bits.shape[::-1]), dtype=bits.dtype)
+        line[1] = bits.T
+        bits = line[1].T
+    elif layout == "rows":  # every other row of a taller batch
+        tall = np.zeros((2 * shape[0], shape[1]), dtype=bits.dtype)
+        tall[::2] = bits
+        bits = tall[::2]
     return spec, bits
 
 
@@ -134,14 +148,16 @@ class TestSmoothDecodeArray:
                                       smooth_decode_array(bits, tupled))
 
     def test_equal_tables_decode_independently(self):
-        """A table equal to another but for a float entry must not change
-        how the other decodes int bits afterwards."""
+        """A table equal to another but for a float entry shares its
+        cached plan, and must not change how the other decodes int bits
+        afterwards."""
         ints = ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1))
         floats = ints[:3] + ((1, 1, 1.0),)
         bits = np.random.default_rng(5).integers(0, 2, (64, 3))
         smooth_decode_array(bits.astype(float),
                             StageSpec(resolution_bits=2, code_table=floats))
         spec = StageSpec(resolution_bits=2, code_table=ints)
+        assert _decode_plan(floats) is _decode_plan(spec.codes())
         got = smooth_decode_array(bits, spec)
         want = reference_smooth_decode(bits, spec)
         assert got.dtype == want.dtype

@@ -401,6 +401,23 @@ class TestForward:
         got = forward_stage(params, x, FAMILY, "infer", kind, VDD)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_subadc_decision_in_place(self, order):
+        """The sub-ADC comparators written into their argument give the
+        bits of ``v_high * (pre2 > vdd / 2).astype(float)``: NaN, ±inf,
+        ±0 and exactly vdd / 2 among random pre-activations."""
+        special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, VDD / 2.0,
+                   np.nextafter(VDD / 2.0, 0.0), np.nextafter(VDD / 2.0, 1.0)]
+        rng = np.random.default_rng(7)
+        pre2 = rng.uniform(-1.0, 2.0, size=(64, 3))
+        pre2.flat[:len(special)] = special
+        pre2 = np.asarray(pre2, order=order)
+        nom = FAMILY.nominal
+        want = nom.v_high * (pre2 > VDD / 2.0).astype(float)
+        got = trainer_module._decision("subadc", nom, VDD)(pre2)
+        assert got is pre2
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_mse_loss_shape(self):
         with pytest.raises(ShapeError):
             mse_loss(np.zeros((2, 1)), np.zeros((2, 2)))
